@@ -1,26 +1,29 @@
 """Shared spectral machinery: adjacency powers and exact minimal polynomials.
 
-The minimal polynomial of an adjacency matrix A (symmetric, hence
+The minimal polynomial psi of an adjacency matrix A (symmetric, hence
 diagonalizable) is squarefree with degree equal to the number of distinct
-eigenvalues m. Both facts are exploited:
+eigenvalues m, so every polynomial in A equals one of degree below m.
+One PowerSequence per graph therefore carries the whole spectral side:
+the powers A^0..A^m built while finding psi also decide walk-regularity
+(exponents below m are exhaustive) and give the canonical Gram
+(phi_tau mod psi, evaluated at A).
 
   * m is found as the first j for which the Hankel matrix of power traces
     [tr(A^(a+b))]_{a,b<=j} becomes singular (the Hankel matrix is the Gram
     of the moment sequence of a positive measure on m points, so its
     leading principal minors are positive up to size m and zero after);
-  * the minimal polynomial's coefficients then solve the m x m Hankel
-    system given by Newton's identities, exactly over the rationals, and
-    must come out integral.
+  * one fraction-free elimination, grown by one index per new pair of
+    traces, yields those minors as its pivots, and back-substitution on
+    the same elimination solves the m x m Hankel system given by Newton's
+    identities for psi's coefficients, which must come out integral.
 
 Powers are computed with numpy int64 while the row-sum bound k^j proves
 no overflow is possible, then switch to exact object arrays.
 """
 
-from fractions import Fraction
-
 import numpy as np
 
-from .exact import poly_trim
+from .errors import InvariantViolation, require
 
 _INT64_SAFE = 1 << 62
 
@@ -37,82 +40,117 @@ def adjacency_array(g):
 
 
 class PowerSequence:
-    """Lazily extended powers A^0, A^1, ... with exact arithmetic.
+    """Lazily extended powers A^0, A^1, ... and traces, with exact arithmetic.
 
     Entries of A^j are walk counts bounded by maxdeg^j; int64 is used
     while that bound stays below 2^62, object dtype afterwards.
     """
 
     def __init__(self, g):
+        self.g = g
         self.n = g.n
-        self.a64 = adjacency_array(g)
         self.maxdeg = max((g.degree(i) for i in range(g.n)), default=0)
-        self.powers = [np.eye(g.n, dtype=np.int64), self.a64.copy()]
+        self.traces = [g.n]
+        self._start()
+
+    def _start(self):
+        self.powers = [np.eye(self.n, dtype=np.int64), adjacency_array(self.g)]
         self.bound = self.maxdeg  # max-entry bound for the last power
 
+    @property
+    def a64(self):
+        return self.power(1)
+
     def power(self, j):
+        if not self.powers:
+            self._start()
+        a = self.powers[1]
         while len(self.powers) <= j:
             last = self.powers[-1]
             newbound = self.bound * max(self.maxdeg, 1)
             if last.dtype == np.int64 and newbound < _INT64_SAFE:
-                nxt = last @ self.a64
+                nxt = last @ a
             else:
-                nxt = np.dot(
-                    last.astype(object), self.a64.astype(object)
-                )
+                nxt = np.dot(last.astype(object), a.astype(object))
             self.powers.append(nxt)
             self.bound = newbound
         return self.powers[j]
 
+    def release(self):
+        """Drop every matrix, A included; later calls rebuild them on demand."""
+        self.powers = []
+
     def trace(self, s):
         """tr(A^s) from powers up to ceil(s/2), via Frobenius pairing."""
-        h = (s + 1) // 2
-        pa = self.power(h)
-        pb = self.power(s - h)
-        # tr(A^s) = <A^h, A^(s-h)>_F since A is symmetric
-        return int(np.sum(pa.astype(object) * pb.astype(object)))
+        while len(self.traces) <= s:
+            t = len(self.traces)
+            pa = self.power((t + 1) // 2)
+            pb = self.power(t // 2)
+            # tr(A^t) = <A^h, A^(t-h)>_F since A is symmetric; the products
+            # are walk counts summing to tr(A^t) <= n k^t, so int64 is exact
+            # below that bound
+            if pa.dtype == pb.dtype == np.int64 and self.n * self.maxdeg**t < _INT64_SAFE:
+                self.traces.append(int(np.sum(pa * pb)))
+            else:
+                self.traces.append(int(np.sum(pa.astype(object) * pb.astype(object))))
+        return self.traces[s]
 
 
-def _det_int(mat):
-    """Exact determinant of a small integer matrix (fraction-free)."""
-    m = [list(map(int, row)) for row in mat]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = None
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    piv = i
-                    break
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+class _FractionFree:
+    """Fraction-free (Bareiss) elimination of a matrix grown one index at a time.
 
+    upper[k][j] and lower[k][j] (j >= k) hold row k and column k after
+    step k: the minors of the leading k x k block bordered by row k and
+    column j (resp. row j and column k). Pivot k, upper[k][k], is thus the
+    leading principal minor of order k + 1, and every division is exact.
+    Growth stops at the first zero pivot.
+    """
 
-def _solve_fraction(mat, rhs):
-    """Solve a small nonsingular rational system exactly."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if a[i][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [a[i][n] for i in range(n)]
+    def __init__(self):
+        self.upper = []
+        self.lower = []
+
+    def _reduce(self, vec, factors):
+        """Carry a new column (factors=lower) or row (factors=upper) through every step."""
+        vec = list(vec)
+        prev = 1
+        for k, f in enumerate(factors):
+            p = self.upper[k][k]
+            for i in range(k + 1, len(vec)):
+                vec[i] = (p * vec[i] - f[i] * vec[k]) // prev
+            prev = p
+        return vec
+
+    def extend(self, row, col):
+        """Border the t x t matrix with row t and column t; return the new pivot.
+
+        `row` has t entries, `col` t + 1 ending with the diagonal entry.
+        """
+        t = len(self.upper)
+        for f, x in zip(self.lower, self._reduce(row, self.upper)):
+            f.append(x)
+        col = self._reduce(col, self.lower)
+        for f, x in zip(self.upper, col):
+            f.append(x)
+        # entries left of the diagonal are never read
+        self.upper.append([0] * t + [col[t]])
+        self.lower.append([0] * t + [col[t]])
+        return col[t]
+
+    def solve(self, rhs):
+        """Integer x with M x = rhs on the leading len(rhs) indices.
+
+        Raises InvariantViolation when the solution is not integral.
+        """
+        u = self._reduce(rhs, self.lower)
+        x = [0] * len(u)
+        for i in reversed(range(len(u))):
+            row = self.upper[i]
+            num = u[i] - sum(row[j] * x[j] for j in range(i + 1, len(u)))
+            x[i], rem = divmod(num, row[i])
+            if rem:
+                raise InvariantViolation("exact solution is not integral")
+        return x
 
 
 def minimal_polynomial(g, powers=None):
@@ -120,29 +158,14 @@ def minimal_polynomial(g, powers=None):
     if g.n == 0:
         raise ValueError("empty graph has no spectrum")
     ps = powers if powers is not None else PowerSequence(g)
-    traces = [g.n]
-
-    def trace(s):
-        while len(traces) <= s:
-            traces.append(ps.trace(len(traces)))
-        return traces[s]
-
-    m = None
-    for j in range(1, g.n + 1):
-        h = [[trace(a + b) for b in range(j + 1)] for a in range(j + 1)]
-        if _det_int(h) == 0:
-            m = j
-            break
-    assert m is not None, "Hankel matrix stayed nonsingular past n"
-    hank = [[trace(a + b) for b in range(m)] for a in range(m)]
-    rhs = [-trace(m + a) for a in range(m)]
-    coeffs = _solve_fraction(hank, rhs)
-    out = []
-    for c in coeffs:
-        assert c.denominator == 1, "minimal polynomial must be integral"
-        out.append(int(c))
-    out.append(1)
-    return poly_trim(out)
+    ff = _FractionFree()
+    for t in range(g.n + 1):
+        # border the Hankel matrix H_t of traces with index t
+        border = [ps.trace(a + t) for a in range(t)]
+        if ff.extend(border, border + [ps.trace(2 * t)]) == 0:
+            # H_(t+1) is singular, so m = t and psi solves H_m c = -border
+            return ff.solve([-x for x in border]) + [1]
+    raise InvariantViolation("Hankel matrix stayed nonsingular past n")
 
 
 def eigenvalue_multiplicities(g, eigenvalues, powers=None):
@@ -154,13 +177,12 @@ def eigenvalue_multiplicities(g, eigenvalues, powers=None):
     polynomial). Returns a list aligned with `eigenvalues`.
     """
     ps = powers if powers is not None else PowerSequence(g)
-    m = len(eigenvalues)
-    mat = [[lam**s for lam in eigenvalues] for s in range(m)]
-    rhs = [g.n] + [ps.trace(s) for s in range(1, m)]
-    sol = _solve_fraction(mat, rhs)
-    mults = []
-    for x in sol:
-        assert x.denominator == 1 and x > 0, "multiplicities must be positive integers"
-        mults.append(int(x))
-    assert sum(mults) == g.n
+    ff = _FractionFree()
+    for t, lam in enumerate(eigenvalues):
+        row = [mu**t for mu in eigenvalues[:t]]
+        col = [lam**s for s in range(t + 1)]
+        require(ff.extend(row, col) != 0, "eigenvalues must be distinct")
+    mults = ff.solve([ps.trace(s) for s in range(len(eigenvalues))])
+    require(min(mults) > 0, "multiplicities must be positive")
+    require(sum(mults) == g.n, "multiplicities must sum to n")
     return mults

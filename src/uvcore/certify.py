@@ -8,15 +8,22 @@ every statement used downstream is expressible through B.
 
 The decision pipeline for one graph:
 
-    spectral_data   ->  tau, d, phi_tau, c            (exact integers)
+    spectral_data   ->  psi, tau, d, phi_tau, c, walk flags (exact integers)
     canonical_gram  ->  B = phi_tau(A), scale n/(d c)
     uvc_test        ->  rank of the span of the edge matrices vs d(d+1)/2
     core_certificate -> one-sided core verdict with reason codes
+
+spectral_data is the single spectral pass: it builds the adjacency powers
+A^0..A^m once, finds the minimal polynomial psi from their traces, and
+decides walk-regularity on the same powers. canonical_gram evaluates
+B = phi_tau(A) as (phi_tau mod psi)(A), a sum of those powers, and then
+releases them, so the rank test runs without them.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 import numpy as np
@@ -24,23 +31,24 @@ import numpy as np
 from ._kernels import psd_rank
 from ._spectrum import (
     PowerSequence,
-    adjacency_array,
     eigenvalue_multiplicities,
     minimal_polynomial,
 )
 from .errors import (
     EdgelessGraph,
+    InvariantViolation,
     NonIntegerLeastEigenvalue,
     NotConnected,
     NotOneWalkRegular,
     NotRegular,
+    require,
 )
 from .exact import (
     charpoly,
     divide_out_root,
-    eval_poly_at_int,
-    eval_poly_at_matrix,
     integer_roots,
+    poly_content,
+    poly_divmod_int,
     poly_mul,
     sturm_root_count,
 )
@@ -54,7 +62,7 @@ from .graphs import (
     is_spanning_subgraph,
     srg_params,
 )
-from .walkreg import walk_regularity
+from .walkreg import WalkRegularity, walk_regularity
 
 _INT64_SAFE = 1 << 62
 
@@ -73,6 +81,9 @@ class SpectralData:
     multiplicity, phi_tau = phi / (x - tau)^d, and c = phi_tau(tau) != 0.
     integral_spectrum lists (eigenvalue, multiplicity) pairs in decreasing
     eigenvalue order when the whole spectrum is integral, else None.
+    psi is the minimal polynomial and walk the walk-regularity flags.
+    powers is the PowerSequence of the pass; the canonical Gram, its last
+    consumer, releases the matrices (they are rebuilt if asked for again).
     """
 
     phi: tuple
@@ -83,6 +94,9 @@ class SpectralData:
     degree_k: int
     n: int
     integral_spectrum: tuple
+    psi: tuple
+    walk: WalkRegularity
+    powers: PowerSequence = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -137,7 +151,8 @@ def spectral_data(g):
     The least eigenvalue must be an integer; this is detected, not
     assumed: the minimal polynomial's integer roots are extracted and a
     Sturm count below the smallest one proves nothing real lies below it,
-    otherwise NonIntegerLeastEigenvalue is raised.
+    otherwise NonIntegerLeastEigenvalue is raised. This is the graph's one
+    spectral pass: the walk flags come from the same adjacency powers.
     """
     if g.edge_count() == 0:
         raise EdgelessGraph("spectral data needs at least one edge")
@@ -154,7 +169,7 @@ def spectral_data(g):
         raise NonIntegerLeastEigenvalue("no integer eigenvalues at all")
     tau = min(roots)
     quot, rem = divide_out_root(psi, tau)
-    assert rem == 0
+    require(rem == 0, "tau must be a root of the minimal polynomial")
     if len(quot) > 1 and sturm_root_count(quot, -k - 1, Fraction(tau)) > 0:
         raise NonIntegerLeastEigenvalue(
             "a non-integer eigenvalue lies below %d" % tau
@@ -162,9 +177,7 @@ def spectral_data(g):
     if len(roots) == m:
         # fully integral spectrum: multiplicities from power traces
         eigs = sorted(roots, reverse=True)
-        mults = eigenvalue_multiplicities(g, eigs, powers=ps)
-        spectrum = tuple(zip(eigs, mults))
-        d = dict(spectrum)[tau]
+        spectrum = tuple(zip(eigs, eigenvalue_multiplicities(g, eigs, powers=ps)))
         phi = [1]
         for lam, mult in spectrum:
             for _ in range(mult):
@@ -174,21 +187,15 @@ def spectral_data(g):
         # division-free characteristic polynomial
         spectrum = None
         phi = charpoly(g.adjacency())
-        d = 0
-        p = phi
-        while True:
-            q, r = divide_out_root(p, tau)
-            if r != 0:
-                break
-            p = q
-            d += 1
-    phi_tau = list(phi)
-    for _ in range(d):
-        phi_tau, r = divide_out_root(phi_tau, tau)
-        assert r == 0
-    c = eval_poly_at_int(phi_tau, tau)
-    assert c != 0 and tau < 0 and -tau <= k
-    assert (c > 0) == ((g.n - d) % 2 == 0)
+    # split off (x - tau)^d; the last remainder is c = phi_tau(tau) != 0
+    phi_tau, d = phi, 0
+    while True:
+        q, c = divide_out_root(phi_tau, tau)
+        if c:
+            break
+        phi_tau, d = q, d + 1
+    require(d > 0 and tau < 0 and -tau <= k, "need tau a root of phi in [-k, 0)")
+    require((c > 0) == ((g.n - d) % 2 == 0), "sign of c must be (-1)^(n-d)")
     return SpectralData(
         phi=tuple(phi),
         tau=tau,
@@ -198,51 +205,48 @@ def spectral_data(g):
         degree_k=k,
         n=g.n,
         integral_spectrum=spectrum,
+        psi=tuple(psi),
+        walk=walk_regularity(g, powers=ps, m=m),
+        powers=ps,
     )
 
 
-def _projector_multiple(g, sd):
-    """phi_tau(A) computed exactly, fast when the spectrum is integral.
+def _phi_tau_matrix(sd):
+    """B = phi_tau(A) exactly, as r(A) for r = phi_tau mod psi.
 
-    With a fully integral spectrum, prod over distinct non-tau eigenvalues
-    of (A - lam I) already annihilates every other eigenspace, so it
-    equals gamma * E_tau with gamma = prod (tau - lam). Scaling by the
-    integer c/gamma then yields phi_tau(A) without a degree-(n-d) Horner.
+    psi(A) = 0 and both polynomials are monic integer, so r is integral of
+    degree below m and B is a sum of the powers the spectral pass built.
+    r's content is factored out first, which keeps the sum in int64
+    whenever the walk-count bound allows. B is the last use of the powers:
+    they are released before B's Python integers are built.
     """
-    if sd.integral_spectrum is not None:
-        a64 = adjacency_array(g)
-        n = g.n
-        others = [lam for lam, _ in sd.integral_spectrum if lam != sd.tau]
-        prod = np.eye(n, dtype=np.int64)
-        bound = 1
-        for lam in others:
-            bound *= sd.degree_k + abs(lam)
-            if prod.dtype == np.int64 and bound < _INT64_SAFE:
-                prod = prod @ a64 - lam * prod
-            else:
-                prod = np.dot(prod.astype(object), a64.astype(object)) - lam * prod.astype(object)
-        gamma = 1
-        for lam in others:
-            gamma *= sd.tau - lam
-        scale = sd.c // gamma
-        assert scale * gamma == sd.c
-        # eigenvector identity check: A * prod = tau * prod
-        if prod.dtype == np.int64 and bound * sd.degree_k < _INT64_SAFE:
-            assert np.array_equal(a64 @ prod, sd.tau * prod)
-        b = [[int(x) * scale for x in row] for row in prod]
-        return b
-    return eval_poly_at_matrix(list(sd.phi_tau), g.adjacency())
+    ps = sd.powers
+    _, r = poly_divmod_int(sd.phi_tau, sd.psi)
+    content = poly_content(r)
+    r = [x // content for x in r]
+    bound = sum(abs(x) * sd.degree_k**j for j, x in enumerate(r))
+    int64_ok = bound < _INT64_SAFE and all(
+        ps.power(j).dtype == np.int64 for j in range(len(r))
+    )
+    acc = np.zeros((sd.n, sd.n), dtype=np.int64 if int64_ok else object)
+    for j, x in enumerate(r):
+        if x:
+            acc += x * (ps.power(j) if int64_ok else ps.power(j).astype(object))
+    # eigenvector identity check: A B = tau B
+    if int64_ok and bound * sd.degree_k < _INT64_SAFE:
+        require(np.array_equal(ps.a64 @ acc, sd.tau * acc), "A B must equal tau B")
+    ps.release()
+    return tuple(tuple(x * content for x in row.tolist()) for row in acc)
 
 
 def canonical_gram(g, sd=None):
     """Gram data of the canonical vector coloring of a 1-walk-regular graph."""
     if sd is None:
         sd = spectral_data(g)
-    if not walk_regularity(g).one_walk:
+    if not sd.walk.one_walk:
         raise NotOneWalkRegular("graph is not 1-walk-regular")
-    b = _projector_multiple(g, sd)
     return CanonicalGram(
-        b=tuple(tuple(row) for row in b),
+        b=_phi_tau_matrix(sd),
         scale=Fraction(g.n, sd.d * sd.c),
         spectral=sd,
     )
@@ -251,20 +255,13 @@ def canonical_gram(g, sd=None):
 def vector_chromatic(g):
     """Exact vector chromatic number 1 - k/tau of a 1-walk-regular graph."""
     sd = spectral_data(g)
-    if not walk_regularity(g).one_walk:
+    if not sd.walk.one_walk:
         raise NotOneWalkRegular("graph is not 1-walk-regular")
     return 1 - Fraction(sd.degree_k, sd.tau)
 
 
-def edge_gram_matrix(cg, g):
-    """Gram matrix of the edge matrices, indexed by lexicographic edges.
-
-    Entry for edges e={i,j}, f={k,l} is 2(B_jl B_ki + B_jk B_li); its rank
-    equals the dimension spanned by the edge matrices because scaling the
-    projector scales this whole matrix by a square.
-    """
-    b = cg.b
-    edges = list(g.edges())
+def _edge_gram(b, edges):
+    """Entry for edges e={i,j}, f={k,l} is 2(B_jl B_ki + B_jk B_li)."""
     m = len(edges)
     out = [[0] * m for _ in range(m)]
     for e in range(m):
@@ -277,6 +274,15 @@ def edge_gram_matrix(cg, g):
             out[e][f] = v
             out[f][e] = v
     return out
+
+
+def edge_gram_matrix(cg, g):
+    """Gram matrix of the edge matrices, indexed by lexicographic edges.
+
+    Its rank equals the dimension spanned by the edge matrices because
+    scaling the projector scales this whole matrix by a square.
+    """
+    return _edge_gram(cg.b, list(g.edges()))
 
 
 def _content_reduced(b):
@@ -315,7 +321,7 @@ def _independent_columns(bp, d):
             cols.append(c)
             if len(cols) == d:
                 return cols
-    raise AssertionError("projector multiple has rank below the multiplicity")
+    raise InvariantViolation("projector multiple has rank below the multiplicity")
 
 
 def _rank_via_vertex_basis(bp, edges, d):
@@ -346,18 +352,7 @@ def _rank_via_vertex_basis(bp, edges, d):
 
 
 def _rank_via_edge_gram(bp, edges):
-    m = len(edges)
-    out = [[0] * m for _ in range(m)]
-    for e in range(m):
-        i, j = edges[e]
-        bi = bp[i]
-        bj = bp[j]
-        for f in range(e, m):
-            k, l = edges[f]
-            val = 2 * (bj[l] * bi[k] + bj[k] * bi[l])
-            out[e][f] = val
-            out[f][e] = val
-    return psd_rank(out)
+    return psd_rank(_edge_gram(bp, edges))
 
 
 def uvc_test(g, cg=None):
@@ -378,7 +373,7 @@ def uvc_test(g, cg=None):
         rank = _rank_via_vertex_basis(bp, edges, d)
     else:
         rank = _rank_via_edge_gram(bp, edges)
-    assert rank <= target
+    require(rank <= target, "rank cannot exceed d(d+1)/2")
     return UvcResult(rank=rank, target=target, verdict=TIGHT if rank == target else LOOSE)
 
 
@@ -390,20 +385,8 @@ def is_locally_injective_gram(cg, g):
     """
     b = cg.b
     diag = b[0][0]
-    injective = True
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if b[i][j] == diag:
-                injective = False
-                break
-        if not injective:
-            break
-    locally = True
-    d2 = distance_two_graph(g)
-    for i, j in d2.edges():
-        if b[i][j] == diag:
-            locally = False
-            break
+    injective = not any(diag in b[i][i + 1:] for i in range(g.n))
+    locally = not any(b[i][j] == diag for i, j in distance_two_graph(g).edges())
     return injective, locally
 
 
@@ -424,7 +407,7 @@ def augmented_graph(g, cg=None):
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     out = Graph(g.n, tuple(rows))
-    assert is_spanning_subgraph(g, out)
+    require(is_spanning_subgraph(g, out), "augmentation must contain the graph")
     return out
 
 
@@ -467,28 +450,21 @@ def core_certificate(g, graph_id=None):
         return report(reasons=["not_regular"])
     except NonIntegerLeastEigenvalue:
         return report(reasons=["non_integer_least_eigenvalue"])
-    wr = walk_regularity(g)
+    wr = sd.walk
     if not wr.one_walk:
         return report(tau=sd.tau, d=sd.d, reasons=["not_one_walk_regular"])
     cg = canonical_gram(g, sd=sd)
     res = uvc_test(g, cg=cg)
+    ranked = partial(report, tau=sd.tau, d=sd.d, rank=res.rank,
+                     target=res.target, verdict=res.verdict)
     if res.verdict == LOOSE:
-        return report(
-            tau=sd.tau, d=sd.d, rank=res.rank, target=res.target,
-            verdict=LOOSE, reasons=["loose"],
-        )
+        return ranked(reasons=["loose"])
     # tight: try the 2-walk-regular route, then local injectivity
     if wr.two_walk and not is_bipartite(g) and not is_complete_multipartite(g):
-        return report(
-            tau=sd.tau, d=sd.d, rank=res.rank, target=res.target,
-            verdict=TIGHT, core=CERTIFIED, reasons=["via_two_walk_regular"],
-        )
+        return ranked(core=CERTIFIED, reasons=["via_two_walk_regular"])
     _, locally = is_locally_injective_gram(cg, g)
     if locally:
-        return report(
-            tau=sd.tau, d=sd.d, rank=res.rank, target=res.target,
-            verdict=TIGHT, core=CERTIFIED, reasons=["via_local_injectivity"],
-        )
+        return ranked(core=CERTIFIED, reasons=["via_local_injectivity"])
     reasons = []
     if not wr.two_walk:
         reasons.append("not_two_walk_regular")
@@ -497,10 +473,7 @@ def core_certificate(g, graph_id=None):
     elif is_complete_multipartite(g):
         reasons.append("complete_multipartite")
     reasons.append("not_locally_injective")
-    return report(
-        tau=sd.tau, d=sd.d, rank=res.rank, target=res.target,
-        verdict=TIGHT, reasons=reasons,
-    )
+    return ranked(reasons=reasons)
 
 
 def sandwich_core_certificate(h, g):

@@ -3,12 +3,17 @@
 Input graphs arrive one graph6 record per line (file path or '-' for
 stdin). Reports leave in input order regardless of --jobs, one JSON
 object per line (or CSV with a versioned header comment), with a summary
-footer. Per-line failures become error reports; the stream never aborts.
+footer. Per-line failures become error reports; the stream never aborts:
+an exception that is not a UvcoreError becomes an error record with code
+"Internal". The size budgets apply to every subcommand that reads graphs.
 """
 
 import argparse
 import json
 import sys
+import traceback
+from contextlib import contextmanager
+from dataclasses import fields
 from multiprocessing import Pool
 
 from . import families
@@ -18,7 +23,7 @@ from .certify import (
     core_certificate,
     spectral_data,
 )
-from .errors import SizeBudgetExceeded, UvcoreError
+from .errors import InputUnreadable, MalformedMap, SizeBudgetExceeded, UvcoreError
 from .graphs import parse_graph6, write_graph6
 from .homs import (
     hamming_hom_exists,
@@ -44,46 +49,56 @@ def _open_input(path):
     return open(path, "r", encoding="ascii")
 
 
-def _open_output(path):
+@contextmanager
+def _output(path):
     if path is None or path == "-":
-        return sys.stdout
-    return open(path, "w", encoding="ascii")
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="ascii") as f:
+            yield f
 
 
 def _report_dict(rep: CertReport):
-    return {
-        "id": rep.graph_id,
-        "n": rep.n,
-        "degree": rep.degree,
-        "srg": list(rep.srg) if rep.srg else None,
-        "tau": rep.tau,
-        "d": rep.d,
-        "edges": rep.edges,
-        "rank": rep.rank,
-        "target": rep.target,
-        "verdict": rep.verdict,
-        "core": rep.core,
-        "reasons": list(rep.reasons),
-        "ms": rep.ms,
-    }
+    # CSV_COLUMNS order; graph_id, the first field, is reported as "id"
+    obj = {"id": rep.graph_id}
+    for f in fields(rep)[1:]:
+        v = getattr(rep, f.name)
+        obj[f.name] = list(v) if isinstance(v, tuple) else v
+    return obj
+
+
+def _error_record(exc, index=None):
+    known = isinstance(exc, UvcoreError)
+    if not known:
+        traceback.print_exc()  # to stderr; the stream goes on
+    rec = {"error": exc.code if known else "Internal"}
+    if index is not None:
+        rec["index"] = index
+    rec["detail"] = str(exc) if known else "%s: %s" % (type(exc).__name__, exc)
+    return rec
+
+
+def _parse_within_budget(line, vbudget, ebudget):
+    g = parse_graph6(line)
+    if g.n > vbudget:
+        raise SizeBudgetExceeded(
+            "%d vertices exceeds budget %d" % (g.n, vbudget)
+        )
+    if g.edge_count() > ebudget:
+        raise SizeBudgetExceeded(
+            "%d edges exceeds budget %d" % (g.edge_count(), ebudget)
+        )
+    return g
 
 
 def _certify_line(args):
     index, line, vbudget, ebudget = args
     try:
-        g = parse_graph6(line)
-        if g.n > vbudget:
-            raise SizeBudgetExceeded(
-                "%d vertices exceeds budget %d" % (g.n, vbudget)
-            )
-        if g.edge_count() > ebudget:
-            raise SizeBudgetExceeded(
-                "%d edges exceeds budget %d" % (g.edge_count(), ebudget)
-            )
+        g = _parse_within_budget(line, vbudget, ebudget)
         rep = core_certificate(g, graph_id=index)
         return index, _report_dict(rep), None
-    except UvcoreError as exc:
-        return index, None, {"error": exc.code, "index": index, "detail": str(exc)}
+    except Exception as exc:  # one failing record must not end the stream
+        return index, None, _error_record(exc, index)
 
 
 def _emit_jsonl(out, obj):
@@ -102,7 +117,8 @@ def _emit_csv_row(out, obj):
 
 
 def cmd_certify(ns):
-    out = _open_output(ns.output)
+    csv = ns.format == "csv"
+    emit = _emit_csv_row if csv else _emit_jsonl
 
     def tasks(f):
         index = 0
@@ -112,13 +128,13 @@ def cmd_certify(ns):
                 yield (index, line, ns.budget_vertices, ns.budget_edges)
                 index += 1
 
-    if ns.format == "csv":
-        out.write("# %s\n" % CSV_VERSION)
-        out.write(",".join(CSV_COLUMNS) + "\n")
     counts = {"total": 0, "tight": 0, "loose": 0, "certified_core": 0, "errors": 0}
     # stream: lines are consumed lazily and results come back in input
     # order (imap), so arbitrarily long lists run in bounded memory
-    with _open_input(ns.input) as f:
+    with _output(ns.output) as out, _open_input(ns.input) as f:
+        if csv:
+            out.write("# %s\n" % CSV_VERSION)
+            out.write(",".join(CSV_COLUMNS) + "\n")
         if ns.jobs > 1:
             pool = Pool(ns.jobs)
             results = pool.imap(_certify_line, tasks(f), chunksize=1)
@@ -130,152 +146,128 @@ def cmd_certify(ns):
                 counts["total"] += 1
                 if err is not None:
                     counts["errors"] += 1
-                    if ns.format == "csv":
-                        _emit_csv_row(out, {"id": err["index"], "core": "error",
-                                            "reasons": [err["error"]]})
-                    else:
-                        _emit_jsonl(out, err)
+                    emit(out, {"id": err["index"], "core": "error",
+                               "reasons": [err["error"]]} if csv else err)
                     continue
-                if rep["verdict"] == "tight":
-                    counts["tight"] += 1
-                elif rep["verdict"] == "loose":
-                    counts["loose"] += 1
-                if rep["core"] == "certified":
-                    counts["certified_core"] += 1
-                if ns.format == "csv":
-                    _emit_csv_row(out, rep)
-                else:
-                    _emit_jsonl(out, rep)
+                counts["tight"] += rep["verdict"] == "tight"
+                counts["loose"] += rep["verdict"] == "loose"
+                counts["certified_core"] += rep["core"] == "certified"
+                emit(out, rep)
         finally:
             if pool is not None:
                 pool.close()
                 pool.join()
-    if ns.format == "csv":
-        out.write("# summary %s\n" % json.dumps(counts, sort_keys=True))
-    else:
-        _emit_jsonl(out, {"summary": counts})
-    if out is not sys.stdout:
-        out.close()
+        if csv:
+            out.write("# summary %s\n" % json.dumps(counts, sort_keys=True))
+        else:
+            _emit_jsonl(out, {"summary": counts})
     return min(counts["errors"], 100)
 
 
+# family -> generator of (params, vertex budget, edge budget)
+GENERATORS = {
+    "kneser": lambda p, vb, eb: families.kneser(p[0], p[1], vb, eb),
+    "q-kneser": lambda p, vb, eb: families.q_kneser(p[0], p[1], p[2], vb, eb),
+    "hamming-h": lambda p, vb, eb: families.hamming_h(p[0], p[1], vb, eb),
+    "hamming-h-prime": lambda p, vb, eb: families.hamming_h_prime(p[0], p[1], vb, eb),
+    "q-cube": lambda p, vb, eb: families.q_cube(p[0], p[1], vb, eb),
+    "cayley-z2": lambda p, vb, eb: families.cayley_z2(p[0], p[1:], vb, eb),
+}
+
+
 def cmd_gen(ns):
-    vb = ns.budget_vertices
-    eb = ns.budget_edges
-    fam = ns.family
-    p = ns.params
-    if fam == "kneser":
-        g = families.kneser(p[0], p[1], vb, eb)
-    elif fam == "q-kneser":
-        g = families.q_kneser(p[0], p[1], p[2], vb, eb)
-    elif fam == "hamming-h":
-        g = families.hamming_h(p[0], p[1], vb, eb)
-    elif fam == "hamming-h-prime":
-        g = families.hamming_h_prime(p[0], p[1], vb, eb)
-    elif fam == "q-cube":
-        g = families.q_cube(p[0], p[1], vb, eb)
-    elif fam == "cayley-z2":
-        g = families.cayley_z2(p[0], p[1:], vb, eb)
-    else:
-        raise SystemExit("unknown family: %s" % fam)
-    out = _open_output(ns.output)
-    out.write(write_graph6(g).decode("ascii") + "\n")
-    if out is not sys.stdout:
-        out.close()
+    g = GENERATORS[ns.family](ns.params, ns.budget_vertices, ns.budget_edges)
+    with _output(ns.output) as out:
+        out.write(write_graph6(g).decode("ascii") + "\n")
     return 0
+
+
+def _map_stream(ns, emit):
+    """Call emit(out, graph) per input line; failures become error records."""
+    errors = 0
+    with _output(ns.output) as out, _open_input(ns.input) as f:
+        for i, line in enumerate(s.strip() for s in f):
+            if not line:
+                continue
+            try:
+                emit(out, _parse_within_budget(line, ns.budget_vertices, ns.budget_edges))
+            except Exception as exc:  # one failing record must not end the stream
+                errors += 1
+                _emit_jsonl(out, _error_record(exc, i))
+    return min(errors, 100)
 
 
 def cmd_augment(ns):
-    out = _open_output(ns.output)
-    errors = 0
-    with _open_input(ns.input) as f:
-        for i, line in enumerate(s.strip() for s in f):
-            if not line:
-                continue
-            try:
-                g = parse_graph6(line)
-                out.write(write_graph6(augmented_graph(g)).decode("ascii") + "\n")
-            except UvcoreError as exc:
-                errors += 1
-                _emit_jsonl(out, {"error": exc.code, "index": i, "detail": str(exc)})
-    if out is not sys.stdout:
-        out.close()
-    return min(errors, 100)
+    def emit(out, g):
+        out.write(write_graph6(augmented_graph(g)).decode("ascii") + "\n")
+
+    return _map_stream(ns, emit)
 
 
 def cmd_spectra(ns):
-    out = _open_output(ns.output)
-    errors = 0
-    with _open_input(ns.input) as f:
-        for i, line in enumerate(s.strip() for s in f):
-            if not line:
-                continue
-            try:
-                sd = spectral_data(parse_graph6(line))
-                _emit_jsonl(out, {"phi": list(sd.phi), "tau": sd.tau, "d": sd.d})
-            except UvcoreError as exc:
-                errors += 1
-                _emit_jsonl(out, {"error": exc.code, "index": i, "detail": str(exc)})
-    if out is not sys.stdout:
-        out.close()
-    return min(errors, 100)
+    def emit(out, g):
+        sd = spectral_data(g)
+        _emit_jsonl(out, {"phi": list(sd.phi), "tau": sd.tau, "d": sd.d})
+
+    return _map_stream(ns, emit)
 
 
-def cmd_hom(ns):
-    out = _open_output(ns.output)
-    kind = ns.kind
-    p = ns.params
-    try:
-        if kind == "kneser":
-            obj = {"exists": kneser_hom_exists(p[0], p[1], p[2], p[3])}
-        elif kind == "kneser-map":
-            vm = kneser_hom_map(p[0], p[1], p[2])
-            obj = {"source_n": vm.source_n, "target_n": vm.target_n,
-                   "image": list(vm.image)}
-        elif kind == "hamming":
-            obj = {"exists": hamming_hom_exists(p[0], p[1], p[2], p[3])}
-        elif kind == "hamming-map":
-            vm = hamming_hom_map(p[0], p[1], p[2])
-            obj = {"source_n": vm.source_n, "target_n": vm.target_n,
-                   "image": list(vm.image)}
-        elif kind == "q-kneser":
-            obj = {"necessary_condition":
-                   q_kneser_necessary(p[0], p[1], p[2], p[3], p[4], p[5])}
-        elif kind == "q-cube-class":
-            obj = {"case": q_cube_core_classification(p[0], p[1])}
-        else:
-            raise SystemExit("unknown hom check: %s" % kind)
-    except UvcoreError as exc:
-        _emit_jsonl(out, {"error": exc.code, "detail": str(exc)})
-        if out is not sys.stdout:
-            out.close()
-        return 1
-    _emit_jsonl(out, obj)
-    if out is not sys.stdout:
-        out.close()
+def _map_obj(vm):
+    return {"source_n": vm.source_n, "target_n": vm.target_n, "image": list(vm.image)}
+
+
+# kind -> JSON object computed from the integer parameters
+HOM_CHECKS = {
+    "kneser": lambda p: {"exists": kneser_hom_exists(p[0], p[1], p[2], p[3])},
+    "kneser-map": lambda p: _map_obj(kneser_hom_map(p[0], p[1], p[2])),
+    "hamming": lambda p: {"exists": hamming_hom_exists(p[0], p[1], p[2], p[3])},
+    "hamming-map": lambda p: _map_obj(hamming_hom_map(p[0], p[1], p[2])),
+    "q-kneser": lambda p: {"necessary_condition":
+                           q_kneser_necessary(p[0], p[1], p[2], p[3], p[4], p[5])},
+    "q-cube-class": lambda p: {"case": q_cube_core_classification(p[0], p[1])},
+}
+
+
+def _emit_one(ns, compute):
+    """Emit compute()'s object; a UvcoreError becomes an error record, exit 1."""
+    with _output(ns.output) as out:
+        try:
+            obj = compute()
+        except UvcoreError as exc:
+            _emit_jsonl(out, _error_record(exc))
+            return 1
+        _emit_jsonl(out, obj)
     return 0
 
 
-def cmd_hom_verify(ns):
-    out = _open_output(ns.output)
-    with open(ns.source, encoding="ascii") as f:
-        g = parse_graph6(f.readline())
-    with open(ns.target, encoding="ascii") as f:
-        h = parse_graph6(f.readline())
-    with open(ns.map, encoding="ascii") as f:
-        image = json.load(f)
+def cmd_hom(ns):
+    return _emit_one(ns, lambda: HOM_CHECKS[ns.kind](ns.params))
+
+
+def _read(path, first_line=False):
     try:
-        vm = VertexMap(g.n, h.n, tuple(image))
-        v = verify_homomorphism(g, h, vm)
-        _emit_jsonl(out, {"is_hom": v.is_hom, "is_injective": v.is_injective,
-                          "is_induced_embedding": v.is_induced_embedding})
-        code = 0
-    except UvcoreError as exc:
-        _emit_jsonl(out, {"error": exc.code, "detail": str(exc)})
-        code = 1
-    if out is not sys.stdout:
-        out.close()
-    return code
+        with open(path, encoding="ascii") as f:
+            return f.readline() if first_line else f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputUnreadable(str(exc))
+
+
+def _verify_map(ns):
+    g = parse_graph6(_read(ns.source, first_line=True))
+    h = parse_graph6(_read(ns.target, first_line=True))
+    try:
+        image = json.loads(_read(ns.map))
+    except ValueError as exc:
+        raise MalformedMap("map is not JSON: %s" % exc)
+    if not isinstance(image, list):
+        raise MalformedMap("map must be a JSON array")
+    v = verify_homomorphism(g, h, VertexMap(g.n, h.n, tuple(image)))
+    return {"is_hom": v.is_hom, "is_injective": v.is_injective,
+            "is_induced_embedding": v.is_induced_embedding}
+
+
+def cmd_hom_verify(ns):
+    return _emit_one(ns, lambda: _verify_map(ns))
 
 
 def build_parser():
@@ -291,10 +283,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="emit one family member as graph6")
-    g.add_argument("family", choices=[
-        "kneser", "q-kneser", "hamming-h", "hamming-h-prime",
-        "q-cube", "cayley-z2",
-    ])
+    g.add_argument("family", choices=list(GENERATORS))
     g.add_argument("params", type=int, nargs="+")
     g.set_defaults(func=cmd_gen)
 
@@ -313,10 +302,7 @@ def build_parser():
     s.set_defaults(func=cmd_spectra)
 
     h = sub.add_parser("hom", help="family homomorphism checks and maps")
-    h.add_argument("kind", choices=[
-        "kneser", "kneser-map", "hamming", "hamming-map",
-        "q-kneser", "q-cube-class",
-    ])
+    h.add_argument("kind", choices=list(HOM_CHECKS))
     h.add_argument("params", type=int, nargs="+")
     h.set_defaults(func=cmd_hom)
 

@@ -65,3 +65,24 @@ class DegenerateRange(UvcoreError):
 
 class BudgetExceeded(UvcoreError):
     code = "BudgetExceeded"
+
+
+class InvariantViolation(UvcoreError):
+    code = "InvariantViolation"
+
+
+class InputUnreadable(UvcoreError):
+    code = "InputUnreadable"
+
+
+class MalformedMap(UvcoreError):
+    code = "MalformedMap"
+
+
+def require(condition, message):
+    """Raise InvariantViolation unless an exact identity holds.
+
+    Unlike `assert`, the check survives `python -O`.
+    """
+    if not condition:
+        raise InvariantViolation(message)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 from ._kernels import bareiss_rank as _kernel_bareiss_rank
-from .errors import EndpointIsRoot, NotSquare
+from .errors import EndpointIsRoot, NotSquare, require
 
 # ---------------------------------------------------------------------------
 # polynomial basics
@@ -50,12 +50,6 @@ def poly_mul(p, q):
             for j, b in enumerate(q):
                 out[i + j] += a * b
     return poly_trim(out)
-
-
-def poly_scale(p, s):
-    if s == 0:
-        return []
-    return [c * s for c in p]
 
 
 def poly_derivative(p):
@@ -243,38 +237,28 @@ def squarefree_part(p):
     g = poly_gcd(p, poly_derivative(p))
     if poly_degree(g) == 0:
         return p
-    q, r = poly_divmod_exact(p, g)
-    assert not r, "squarefree division must be exact"
+    q, r = poly_divmod_int(p, g)
+    require(not r, "squarefree division must be exact")
     return poly_primitive(q)
 
 
-def poly_divmod_exact(f, g):
-    """Division of f by g over the rationals, returned as integer polys.
+def poly_divmod_int(f, g):
+    """Quotient and remainder of integer polynomials f by g, over the integers.
 
-    Intended for the case g | f (remainder empty); uses Fractions
-    internally and converts back, asserting integrality of the quotient.
+    Each step divides by g's leading coefficient; that is exact when g is
+    monic, or when g divides f (Gauss's lemma, for primitive g), and an
+    inexact step raises InvariantViolation.
     """
-    f = [Fraction(c) for c in poly_trim(f)]
-    g = [Fraction(c) for c in poly_trim(g)]
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
-    while len(f) >= len(g) and f:
-        shift = len(f) - len(g)
-        c = f[-1] / g[-1]
+    r = poly_trim(f)
+    dg = len(g) - 1
+    q = [0] * max(len(r) - dg, 0)
+    for shift in reversed(range(len(q))):
+        c, rem = divmod(r[shift + dg], g[-1])
+        require(rem == 0, "integer polynomial division must be exact")
         q[shift] = c
         for i, gc in enumerate(g):
-            f[shift + i] -= c * gc
-        while f and f[-1] == 0:
-            f.pop()
-    def back(coeffs):
-        out = []
-        for c in coeffs:
-            if c.denominator != 1:
-                raise ValueError("non-integer coefficient in exact division")
-            out.append(int(c))
-        return poly_trim(out)
-    return back(q), back(f)
+            r[shift + i] -= c * gc
+    return poly_trim(q), poly_trim(r[:dg])
 
 
 def sturm_root_count(p, lo, hi):
@@ -321,10 +305,6 @@ def sturm_root_count(p, lo, hi):
 
 # ---------------------------------------------------------------------------
 # integer matrices
-
-
-def mat_identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):

@@ -9,7 +9,7 @@ raises SizeBudgetExceeded rather than truncating.
 from itertools import combinations
 from math import comb
 
-from .errors import BadParity, OutOfRange, SizeBudgetExceeded
+from .errors import BadParity, OutOfRange, SizeBudgetExceeded, require
 from .graphs import Graph
 
 DEFAULT_VERTEX_BUDGET = 20000
@@ -43,7 +43,7 @@ def gaussian_binomial(n, k, q):
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    require(num % den == 0, "Gaussian binomial must be an integer")
     return num // den
 
 
@@ -164,7 +164,7 @@ def q_kneser(q, n, r, vertex_budget=DEFAULT_VERTEX_BUDGET, edge_budget=DEFAULT_E
     degree = q ** (r * r) * gaussian_binomial(n - r, r, q) if n >= 2 * r else 0
     _check_budget(nv, nv * degree // 2, vertex_budget, edge_budget)
     subs = _rref_subspaces(n, r, q)
-    assert len(subs) == nv
+    require(len(subs) == nv, "subspace count must match the Gaussian binomial")
     rows = [0] * nv
     for a in range(nv):
         for b in range(a + 1, nv):

@@ -14,6 +14,7 @@ from .errors import (
     BudgetExceeded,
     DegenerateRange,
     DimensionMismatch,
+    MalformedMap,
     OutOfRange,
     RatioMismatch,
 )
@@ -30,6 +31,8 @@ class VertexMap:
         if len(self.image) != self.source_n:
             raise DimensionMismatch("image length must equal source order")
         for v in self.image:
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise MalformedMap("image entries must be integers")
             if not 0 <= v < self.target_n:
                 raise DimensionMismatch("image vertex out of range")
 

@@ -3,6 +3,8 @@
 The defining conditions quantify over all powers of the adjacency matrix;
 powers from degree m on (m = number of distinct eigenvalues) are linear
 combinations of lower ones, so checking exponents 0..m-1 is exhaustive.
+A caller that already holds the graph's powers and m (the spectral pass
+in `certify.spectral_data`) passes them in, so nothing is recomputed.
 """
 
 from dataclasses import dataclass
@@ -34,14 +36,14 @@ def _constant_on(power, mask):
     return bool((vals == first).all())
 
 
-def _walk_checks(g, max_power=None):
+def _walk_checks(g, max_power=None, powers=None, m=None):
     if g.edge_count() == 0:
         raise EdgelessGraph("walk-regularity needs at least one edge")
-    ps = PowerSequence(g)
-    m = len(minimal_polynomial(g, powers=ps)) - 1
+    ps = powers if powers is not None else PowerSequence(g)
+    if m is None:
+        m = len(minimal_polynomial(g, powers=ps)) - 1
     top = (m - 1) if max_power is None else max_power
-    adj = adjacency_array(g)
-    edge_mask = adj == 1
+    edge_mask = ps.a64 == 1
     diag_mask = np.eye(g.n, dtype=bool)
     dist2_mask = adjacency_array(distance_two_graph(g)) == 1
     one = True
@@ -57,9 +59,13 @@ def _walk_checks(g, max_power=None):
     return WalkRegularity(one, two and one, m)
 
 
-def walk_regularity(g):
-    """Full classification: 1-walk, 2-walk, and distinct eigenvalue count."""
-    return _walk_checks(g)
+def walk_regularity(g, powers=None, m=None):
+    """Full classification: 1-walk, 2-walk, and distinct eigenvalue count.
+
+    `powers` is the graph's PowerSequence and `m` its number of distinct
+    eigenvalues, when the caller already has them.
+    """
+    return _walk_checks(g, powers=powers, m=m)
 
 
 def is_one_walk_regular(g):

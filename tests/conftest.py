@@ -48,6 +48,17 @@ def petersen():
     return kneser(5, 2)
 
 
+def moebius_ladder_complement():
+    """Complement of the Moebius ladder C_8(1,4).
+
+    Spectrum {4, sqrt(2) x2, 0, -sqrt(2) x2, -2 x2}: the least eigenvalue
+    is the integer -2 while other eigenvalues are irrational.
+    """
+    ladder = from_edges(8, [(i, (i + 1) % 8) for i in range(8)]
+                        + [(i, i + 4) for i in range(4)])
+    return complement(ladder)
+
+
 def latin_square_graph(square):
     """Latin square graph: cells adjacent iff same row, column, or symbol."""
     m = len(square)

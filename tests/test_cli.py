@@ -4,7 +4,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from conftest import rook_graph
+from conftest import moebius_ladder_complement, rook_graph
 
 from uvcore import hamming_h_prime, kneser, q_kneser, write_graph6
 from uvcore.cli import main
@@ -146,3 +146,96 @@ def test_hom_verify_files(tmp_path):
     rec = json.loads(out_path.read_text())
     assert rec == {"is_hom": True, "is_injective": True,
                    "is_induced_embedding": True}
+
+
+def test_certify_internal_error_is_a_record(tmp_path, monkeypatch):
+    # an exception that is not a UvcoreError ends neither the stream nor
+    # the --jobs pool (workers are forked, so they inherit the patch)
+    import uvcore.cli as cli
+
+    real = cli.core_certificate
+
+    def flaky(g, graph_id=None):
+        if g.n == 9:
+            raise RuntimeError("boom")
+        return real(g, graph_id=graph_id)
+
+    monkeypatch.setattr(cli, "core_certificate", flaky)
+    pet = write_graph6(kneser(5, 2)).decode()
+    rook = write_graph6(rook_graph(3)).decode()
+    src = tmp_path / "in.g6"
+    src.write_text(pet + "\n" + rook + "\n" + pet + "\n")
+    for jobs in ("1", "2"):
+        dst = tmp_path / ("out%s.jsonl" % jobs)
+        code = main(["--output", str(dst), "certify", str(src), "--jobs", jobs])
+        lines = [json.loads(s) for s in dst.read_text().splitlines()]
+        assert code == 1
+        assert len(lines) == 4
+        assert lines[0]["core"] == "certified" and lines[2]["core"] == "certified"
+        assert lines[1] == {"error": "Internal", "index": 1,
+                            "detail": "RuntimeError: boom"}
+        assert lines[3]["summary"]["errors"] == 1
+
+
+@pytest.mark.parametrize("budget", [["--budget-vertices", "3"],
+                                    ["--budget-edges", "10"]])
+@pytest.mark.parametrize("command", ["augment", "spectra"])
+def test_augment_and_spectra_enforce_budgets(budget, command, monkeypatch):
+    pet = write_graph6(kneser(5, 2)).decode()
+    code, out = run_cli(budget + [command, "-"], stdin_text=pet + "\n",
+                        monkeypatch=monkeypatch)
+    rec = json.loads(out.strip())
+    assert rec["error"] == "SizeBudgetExceeded" and rec["index"] == 0
+    assert code == 1
+
+
+def _hom_verify(tmp_path, source, target, image_text):
+    mp = tmp_path / "map.json"
+    mp.write_text(image_text)
+    out_path = tmp_path / "verdict.json"
+    code = main(["--output", str(out_path), "hom-verify", "--source", str(source),
+                 "--target", str(target), "--map", str(mp)])
+    return code, json.loads(out_path.read_text())
+
+
+def test_hom_verify_missing_file_is_a_record(tmp_path):
+    src = tmp_path / "src.g6"
+    src.write_text(write_graph6(kneser(5, 2)).decode() + "\n")
+    code, rec = _hom_verify(tmp_path, src, tmp_path / "absent.g6",
+                            json.dumps(list(range(10))))
+    assert code == 1 and rec["error"] == "InputUnreadable"
+
+
+@pytest.mark.parametrize("image", ['["a", 1, 2, 3, 4, 5, 6, 7, 8, 9]',
+                                   "[0.5, 1, 2, 3, 4, 5, 6, 7, 8, 9]",
+                                   '{"0": 1}', "not json"])
+def test_hom_verify_malformed_map_is_a_record(tmp_path, image):
+    src = tmp_path / "src.g6"
+    src.write_text(write_graph6(kneser(5, 2)).decode() + "\n")
+    code, rec = _hom_verify(tmp_path, src, src, image)
+    assert code == 1 and rec["error"] == "MalformedMap"
+
+
+def test_certify_same_output_under_python_O():
+    # no verdict may rest on an `assert`: with assertions stripped, the
+    # reports stay the same once timings are removed
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import uvcore
+
+    text = "".join(write_graph6(g).decode() + "\n"
+                   for g in (kneser(5, 2), moebius_ladder_complement()))
+    env = {"PYTHONPATH": str(Path(uvcore.__file__).parents[1])}
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-m", "uvcore.cli", "certify", "-"],
+                              input=text, capture_output=True, text=True, env=env,
+                              check=True)
+        rows = [json.loads(s) for s in proc.stdout.splitlines()]
+        for r in rows:
+            r.pop("ms", None)
+        outs.append(rows)
+    assert outs[0] == outs[1]
+    assert len(outs[0]) == 3 and "error" not in outs[0][1]

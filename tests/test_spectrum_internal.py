@@ -1,14 +1,16 @@
 """Cross-checks between the structured spectral fast paths and the
 general-purpose routes they shortcut."""
 
-from dataclasses import replace
 from fractions import Fraction
 
-from conftest import complete, cycle, petersen, prism, rook_graph
+import pytest
 
-from uvcore import charpoly, q_kneser
-from uvcore._spectrum import PowerSequence, minimal_polynomial
-from uvcore.certify import _projector_multiple, canonical_gram, spectral_data
+from conftest import cycle, moebius_ladder_complement, petersen, prism
+
+from uvcore import charpoly, eval_poly_at_matrix, q_kneser
+from uvcore._spectrum import PowerSequence, _FractionFree, minimal_polynomial
+from uvcore.certify import _phi_tau_matrix, canonical_gram, spectral_data
+from uvcore.errors import InvariantViolation
 from uvcore.exact import squarefree_part
 
 
@@ -18,6 +20,22 @@ def test_minimal_polynomial_is_squarefree_charpoly(one_walk_regular_corpus):
     graphs["c5"] = cycle(5)
     for name, g in graphs.items():
         assert minimal_polynomial(g) == squarefree_part(charpoly(g.adjacency())), name
+
+
+def test_fraction_free_pivots_are_leading_minors():
+    # a non-symmetric matrix grown index by index: the pivots are its
+    # leading principal minors 2, 5, -1; after a singular border the
+    # leading block still solves, and a non-integral solution is refused
+    mat = [[2, 1, 1], [1, 3, 2], [1, 0, 0]]
+    ff = _FractionFree()
+    pivots = [ff.extend(mat[t][:t], [mat[i][t] for i in range(t + 1)])
+              for t in range(3)]
+    assert pivots == [2, 5, -1]
+    # row 3 = 2 * row 0 makes the bordered matrix singular
+    assert ff.extend([4, 2, 2], [4, 2, 2, 8]) == 0
+    assert ff.solve([3, 1, 1]) == [1, -2, 3]
+    with pytest.raises(InvariantViolation):
+        ff.solve([1, 0])
 
 
 def test_minimal_polynomial_annihilates(one_walk_regular_corpus):
@@ -35,14 +53,16 @@ def test_minimal_polynomial_annihilates(one_walk_regular_corpus):
 
 
 def test_projector_fast_path_equals_horner(one_walk_regular_corpus):
-    for name, g in one_walk_regular_corpus.items():
-        if g.n > 36:
-            continue
+    # B = (phi_tau mod psi)(A) from the spectral pass's powers against the
+    # degree-(n-d) Horner evaluation of phi_tau itself
+    graphs = {n: g for n, g in one_walk_regular_corpus.items() if g.n <= 36}
+    graphs["ladder_complement"] = moebius_ladder_complement()
+    for name, g in graphs.items():
         sd = spectral_data(g)
-        assert sd.integral_spectrum is not None, name
-        fast = _projector_multiple(g, sd)
-        slow = _projector_multiple(g, replace(sd, integral_spectrum=None))
-        assert [list(r) for r in fast] == [list(r) for r in slow], name
+        assert (sd.integral_spectrum is None) == (name == "ladder_complement"), name
+        fast = _phi_tau_matrix(sd)
+        slow = eval_poly_at_matrix(list(sd.phi_tau), g.adjacency())
+        assert [list(r) for r in fast] == slow, name
 
 
 def test_q_kneser_gram_matches_q_analog_formula():
@@ -67,14 +87,7 @@ def test_q_kneser_gram_matches_q_analog_formula():
 
 
 def test_spectral_data_slow_path_used_for_mixed_spectra():
-    # complement of the Moebius ladder C_8(1,4): spectrum
-    # {4, sqrt(2) x2, 0, -sqrt(2) x2, -2 x2}, so the least eigenvalue is
-    # the integer -2 while other eigenvalues are irrational
-    from uvcore import complement, from_edges
-
-    ladder = from_edges(8, [(i, (i + 1) % 8) for i in range(8)]
-                        + [(i, i + 4) for i in range(4)])
-    g = complement(ladder)
+    g = moebius_ladder_complement()
     sd = spectral_data(g)
     assert sd.integral_spectrum is None  # forced down the Berkowitz path
     assert (sd.tau, sd.d) == (-2, 2)
