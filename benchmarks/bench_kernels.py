@@ -20,7 +20,7 @@ import time
 
 from uvcore import canonical_gram, hamming_h
 from uvcore._kernels import pykernels
-from uvcore.certify import _content_reduced, _independent_columns
+from uvcore.certify import _coefficient_gram, _content_reduced
 
 try:
     from uvcore._kernels import ckernels
@@ -44,21 +44,8 @@ def latin_square_graph_z6():
 
 def coefficient_gram(g):
     """The D x D Gram the rank test eliminates, D = d(d+1)/2."""
-    import numpy as np
-
     cg = canonical_gram(g)
-    d = cg.spectral.d
-    bp = _content_reduced(cg.b)
-    cols = _independent_columns(bp, d)
-    v = np.array([[bp[i][c] for c in cols] for i in range(g.n)], dtype=np.int64)
-    iu = np.triu_indices(d)
-    edges = list(g.edges())
-    z = np.zeros((len(edges), d * (d + 1) // 2), dtype=np.int64)
-    for e, (i, j) in enumerate(edges):
-        s = np.outer(v[i], v[j])
-        z[e] = (s + s.T)[iu]
-    k = z.T @ z
-    return [[int(x) for x in row] for row in k]
+    return _coefficient_gram(_content_reduced(cg.b), list(g.edges()), cg.spectral.d)
 
 
 def bench(fn, mat, repeat):

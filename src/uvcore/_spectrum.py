@@ -17,33 +17,50 @@ the powers A^0..A^m built while finding psi also decide walk-regularity
     the same elimination solves the m x m Hankel system given by Newton's
     identities for psi's coefficients, which must come out integral.
 
-Powers are computed with numpy int64 while the row-sum bound k^j proves
-no overflow is possible, then switch to exact object arrays.
+Every dense integer product goes through exact_matmul, whose caller
+proves a bound on the magnitude of every partial sum. Below 2^53 the
+product runs on float64 BLAS, where each such sum is an exactly
+representable integer; up to 2^62 it runs in int64, and past that on
+exact object arrays. For the powers the bound is the walk count k^j.
 """
 
 import numpy as np
 
 from .errors import InvariantViolation, require
 
+_FLOAT64_EXACT = 1 << 53
 _INT64_SAFE = 1 << 62
 
 
+def exact_matmul(a, b, bound):
+    """a @ b exactly, for integer arrays with bound >= max_ij sum_k |a_ik b_kj|.
+
+    Every product and every partial sum of an entry is an integer of
+    magnitude at most bound, so below 2^53 float64 represents each of them
+    exactly in any summation order (FMA included) and BLAS is exact.
+    """
+    if bound < _FLOAT64_EXACT:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    if bound < _INT64_SAFE and a.dtype == b.dtype == np.int64:
+        return a @ b
+    return np.dot(a.astype(object), b.astype(object))
+
+
 def adjacency_array(g):
-    a = np.zeros((g.n, g.n), dtype=np.int64)
-    for i in range(g.n):
-        m = g.rows[i]
-        while m:
-            b = m & -m
-            a[i, b.bit_length() - 1] = 1
-            m ^= b
-    return a
+    """0/1 int64 adjacency matrix, unpacked from the row bitmasks."""
+    width = (g.n + 7) // 8
+    raw = b"".join(r.to_bytes(width, "little") for r in g.rows)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(g.n, width)
+    bits = np.unpackbits(packed, axis=1, count=g.n, bitorder="little")
+    return bits.astype(np.int64)
 
 
 class PowerSequence:
     """Lazily extended powers A^0, A^1, ... and traces, with exact arithmetic.
 
-    Entries of A^j are walk counts bounded by maxdeg^j; int64 is used
-    while that bound stays below 2^62, object dtype afterwards.
+    Entries of A^j are walk counts bounded by maxdeg^j, the bound each
+    product passes to exact_matmul; the powers are int64 while it stays
+    below 2^62, object dtype afterwards.
     """
 
     def __init__(self, g):
@@ -66,14 +83,8 @@ class PowerSequence:
             self._start()
         a = self.powers[1]
         while len(self.powers) <= j:
-            last = self.powers[-1]
-            newbound = self.bound * max(self.maxdeg, 1)
-            if last.dtype == np.int64 and newbound < _INT64_SAFE:
-                nxt = last @ a
-            else:
-                nxt = np.dot(last.astype(object), a.astype(object))
-            self.powers.append(nxt)
-            self.bound = newbound
+            self.bound *= max(self.maxdeg, 1)
+            self.powers.append(exact_matmul(self.powers[-1], a, self.bound))
         return self.powers[j]
 
     def release(self):

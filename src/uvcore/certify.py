@@ -32,6 +32,7 @@ from ._kernels import psd_rank
 from ._spectrum import (
     PowerSequence,
     eigenvalue_multiplicities,
+    exact_matmul,
     minimal_polynomial,
 )
 from .errors import (
@@ -234,7 +235,8 @@ def _phi_tau_matrix(sd):
             acc += x * (ps.power(j) if int64_ok else ps.power(j).astype(object))
     # eigenvector identity check: A B = tau B
     if int64_ok and bound * sd.degree_k < _INT64_SAFE:
-        require(np.array_equal(ps.a64 @ acc, sd.tau * acc), "A B must equal tau B")
+        ab = exact_matmul(ps.a64, acc, bound * sd.degree_k)
+        require(np.array_equal(ab, sd.tau * acc), "A B must equal tau B")
     ps.release()
     return tuple(tuple(x * content for x in row.tolist()) for row in acc)
 
@@ -324,31 +326,52 @@ def _independent_columns(bp, d):
     raise InvariantViolation("projector multiple has rank below the multiplicity")
 
 
+def _coefficient_gram(bp, edges, d):
+    """The D x D Gram K = Z^T Z of the coefficient matrix Z, as integer rows.
+
+    Z has one row per edge {i,j}: the upper triangle of v_i v_j^T + v_j v_i^T,
+    where v_i is row i of d exactly independent columns of bp. Z itself is
+    never built. With P the n x D matrix whose column (a<=c) is v_a * v_c
+    (entrywise over the vertices) and T = P^T A P, summing over ordered
+    adjacent pairs gives K[(ab),(cd)] = T[ac,bd] + T[ad,bc].
+    """
+    n = len(bp)
+    cols = _independent_columns(bp, d)
+    v = np.array([[bp[i][c] for c in cols] for i in range(n)], dtype=object)
+    m = len(edges)
+    maxv = max(1, int(abs(v).max()))
+    # |K| <= 4 m maxv^4, twice T's bound: when that fits int64, so does each step
+    if 4 * m * maxv**4 < _INT64_SAFE:
+        v = v.astype(np.int64)
+    iu = np.triu_indices(d)
+    p = v[:, iu[0]] * v[:, iu[1]]
+    ends = np.array(edges)
+    adj = np.zeros((n, n), dtype=np.int64)
+    adj[ends[:, 0], ends[:, 1]] = 1
+    adj[ends[:, 1], ends[:, 0]] = 1
+    # bounds on the sums of |terms|: n maxv^2 for A P, 2 m maxv^4 for T
+    ap = exact_matmul(adj, p, n * maxv**2)
+    t = exact_matmul(p.T, ap, 2 * m * maxv**4)
+    pos = np.zeros((d, d), dtype=np.intp)
+    pos[iu] = pos[iu[::-1]] = np.arange(len(iu[0]))
+    # one row of K at a time keeps the index arrays at D entries
+    return [
+        (t[pos[a, iu[0]], pos[b, iu[1]]] + t[pos[a, iu[1]], pos[b, iu[0]]]).tolist()
+        for a, b in zip(*iu)
+    ]
+
+
 def _rank_via_vertex_basis(bp, edges, d):
     """dim span of the edge matrices through an integer eigenspace basis.
 
     Any basis change p -> T p maps the symmetric edge matrices through the
     linear isomorphism S -> T S T^T of symmetric matrices, so the spanned
     dimension computed from integer basis rows equals the one from the
-    canonical (irrational) vectors. The rank of the D x D Gram K = Z^T Z
-    of the coefficient matrix Z equals rank(Z).
+    canonical (irrational) vectors. It is the rank of the coefficient
+    matrix Z, which equals the rank of K = Z^T Z, where
+    K[(ab),(cd)] = T[ac,bd] + T[ad,bc] for T = P^T A P (_coefficient_gram).
     """
-    n = len(bp)
-    cols = _independent_columns(bp, d)
-    v = np.array([[bp[i][c] for c in cols] for i in range(n)], dtype=object)
-    dd = d * (d + 1) // 2
-    iu = np.triu_indices(d)
-    m = len(edges)
-    maxv = max(1, int(abs(v).max()))
-    int64_ok = m * (2 * maxv * maxv) ** 2 < _INT64_SAFE
-    dtype = np.int64 if int64_ok else object
-    z = np.zeros((m, dd), dtype=dtype)
-    vv = v.astype(dtype)
-    for e, (i, j) in enumerate(edges):
-        s = np.outer(vv[i], vv[j])
-        z[e] = (s + s.T)[iu]
-    k = np.dot(z.T, z)
-    return psd_rank([[int(x) for x in row] for row in k])
+    return psd_rank(_coefficient_gram(bp, edges, d))
 
 
 def _rank_via_edge_gram(bp, edges):

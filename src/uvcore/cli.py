@@ -175,11 +175,16 @@ GENERATORS = {
 }
 
 
+def _emit_graph6(out, g):
+    out.write(write_graph6(g).decode("ascii") + "\n")
+
+
 def cmd_gen(ns):
-    g = GENERATORS[ns.family](ns.params, ns.budget_vertices, ns.budget_edges)
-    with _output(ns.output) as out:
-        out.write(write_graph6(g).decode("ascii") + "\n")
-    return 0
+    return _emit_one(
+        ns,
+        lambda: GENERATORS[ns.family](ns.params, ns.budget_vertices, ns.budget_edges),
+        _emit_graph6,
+    )
 
 
 def _map_stream(ns, emit):
@@ -198,10 +203,7 @@ def _map_stream(ns, emit):
 
 
 def cmd_augment(ns):
-    def emit(out, g):
-        out.write(write_graph6(augmented_graph(g)).decode("ascii") + "\n")
-
-    return _map_stream(ns, emit)
+    return _map_stream(ns, lambda out, g: _emit_graph6(out, augmented_graph(g)))
 
 
 def cmd_spectra(ns):
@@ -228,15 +230,15 @@ HOM_CHECKS = {
 }
 
 
-def _emit_one(ns, compute):
-    """Emit compute()'s object; a UvcoreError becomes an error record, exit 1."""
+def _emit_one(ns, compute, emit=_emit_jsonl):
+    """Emit compute()'s result; a UvcoreError becomes an error record, exit 1."""
     with _output(ns.output) as out:
         try:
             obj = compute()
         except UvcoreError as exc:
             _emit_jsonl(out, _error_record(exc))
             return 1
-        _emit_jsonl(out, obj)
+        emit(out, obj)
     return 0
 
 

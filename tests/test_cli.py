@@ -41,6 +41,16 @@ def test_gen_budget_error():
         main(["gen", "bogus", "1"])
 
 
+@pytest.mark.parametrize("args, code", [
+    (["--budget-vertices", "5", "gen", "kneser", "7", "3"], "SizeBudgetExceeded"),
+    (["gen", "cayley-z2", "4", "1", "3", "5"], "OutOfRange"),
+])
+def test_gen_generator_error_is_a_record(args, code):
+    status, out = run_cli(args)
+    assert status == 1
+    assert [json.loads(s)["error"] for s in out.strip().splitlines()] == [code]
+
+
 def test_certify_stream(tmp_path, monkeypatch):
     pet = write_graph6(kneser(5, 2)).decode()
     rook = write_graph6(rook_graph(3)).decode()

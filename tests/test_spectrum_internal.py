@@ -7,9 +7,22 @@ import pytest
 
 from conftest import cycle, moebius_ladder_complement, petersen, prism
 
-from uvcore import charpoly, eval_poly_at_matrix, q_kneser
-from uvcore._spectrum import PowerSequence, _FractionFree, minimal_polynomial
-from uvcore.certify import _phi_tau_matrix, canonical_gram, spectral_data
+from uvcore import Graph, charpoly, eval_poly_at_matrix, q_kneser
+from uvcore._spectrum import (
+    PowerSequence,
+    _FractionFree,
+    adjacency_array,
+    exact_matmul,
+    minimal_polynomial,
+)
+from uvcore.certify import (
+    _coefficient_gram,
+    _content_reduced,
+    _independent_columns,
+    _phi_tau_matrix,
+    canonical_gram,
+    spectral_data,
+)
 from uvcore.errors import InvariantViolation
 from uvcore.exact import squarefree_part
 
@@ -105,3 +118,78 @@ def test_power_sequence_object_fallback():
     import numpy as np
 
     assert np.array_equal(p5.astype(np.int64), ps2.power(5))
+
+
+def test_adjacency_array_matches_bit_rows(one_walk_regular_corpus):
+    # the unpacked bitmasks against the per-bit reading of Graph.adjacency,
+    # on orders with and without a partial last byte
+    graphs = dict(one_walk_regular_corpus, empty=Graph(0, ()), single=Graph(1, (0,)),
+                  c5=cycle(5), ladder_complement=moebius_ladder_complement())
+    for name, g in graphs.items():
+        a = adjacency_array(g)
+        assert a.dtype.name == "int64" and a.shape == (g.n, g.n), name
+        assert a.tolist() == g.adjacency(), name
+
+
+def test_exact_matmul_float_route_just_below_2_53():
+    # 8 terms of magnitude below 2^50 each; the largest sum of |terms|,
+    # entry (0, 0), lies just below 2^53, so the product runs in float64
+    import numpy as np
+
+    rng = np.random.default_rng(53)
+    top = (1 << 25) - 1
+    a = rng.integers(-top, top + 1, size=(6, 8), dtype=np.int64)
+    b = rng.integers(-top, top + 1, size=(8, 5), dtype=np.int64)
+    a[0], b[:, 0] = top, -top
+    bound = int(np.dot(abs(a).astype(object), abs(b).astype(object)).max())
+    assert (1 << 52) < bound < (1 << 53)
+    got = exact_matmul(a, b, bound)
+    assert got.dtype == np.int64
+    assert got.tolist() == np.dot(a.astype(object), b.astype(object)).tolist()
+
+
+def test_exact_matmul_int64_route_above_2_53():
+    # (2^27+1)(2^26+1) = 2^53 + 2^27 + 2^26 + 1 is odd and above 2^53, so a
+    # float64 product would round it; the bound sends it to int64 instead
+    import numpy as np
+
+    a = np.array([[(1 << 27) + 1]], dtype=np.int64)
+    b = np.array([[(1 << 26) + 1]], dtype=np.int64)
+    want = ((1 << 27) + 1) * ((1 << 26) + 1)
+    assert int((a.astype(np.float64) @ b.astype(np.float64))[0, 0]) != want
+    assert exact_matmul(a, b, want).tolist() == [[want]]
+    # above 2^62 the product is taken over Python integers
+    big = exact_matmul(a << 20, b << 20, want << 40)
+    assert big.dtype == object and big.tolist() == [[want << 40]]
+
+
+def _explicit_coefficient_gram(bp, edges, d):
+    """Z^T Z over Python integers, Z with one row per edge."""
+    import numpy as np
+
+    cols = _independent_columns(bp, d)
+    v = [[bp[i][c] for c in cols] for i in range(len(bp))]
+    pairs = list(zip(*np.triu_indices(d)))
+    z = np.array([[v[i][a] * v[j][c] + v[i][c] * v[j][a] for a, c in pairs]
+                  for i, j in edges], dtype=object)
+    return np.dot(z.T, z).tolist()
+
+
+def test_coefficient_gram_equals_explicit_z_gram(one_walk_regular_corpus):
+    # K[(ab),(cd)] = T[ac,bd] + T[ad,bc] with T = P^T A P against Z^T Z;
+    # the corpus holds H_{7,4} (rank 364) and qK(4:2) (rank 91)
+    for name, g in one_walk_regular_corpus.items():
+        cg = canonical_gram(g)
+        bp = _content_reduced(cg.b)
+        edges = list(g.edges())
+        want = _explicit_coefficient_gram(bp, edges, cg.spectral.d)
+        assert _coefficient_gram(bp, edges, cg.spectral.d) == want, name
+    # a scaled basis moves T's bound past 2^53 (int64 route, shift 10),
+    # K's past 2^62 (objects after a float A P, shift 12) and A P's past
+    # 2^62 (objects throughout, shift 40)
+    cg = canonical_gram(petersen())
+    edges = list(petersen().edges())
+    for shift in (10, 12, 40):
+        bp = [[x << shift for x in row] for row in _content_reduced(cg.b)]
+        want = _explicit_coefficient_gram(bp, edges, cg.spectral.d)
+        assert _coefficient_gram(bp, edges, cg.spectral.d) == want, shift
