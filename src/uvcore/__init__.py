@@ -47,7 +47,6 @@ from .graphs import (
     Graph,
     complement,
     components,
-    distance_matrix,
     distance_two_graph,
     from_edges,
     is_bipartite,

@@ -6,7 +6,8 @@ eigenvalues m, so every polynomial in A equals one of degree below m.
 One PowerSequence per graph therefore carries the whole spectral side:
 the powers A^0..A^m built while finding psi also decide walk-regularity
 (exponents below m are exhaustive) and give the canonical Gram
-(phi_tau mod psi, evaluated at A).
+(psi_tau = psi / (x - tau), evaluated at A), and the cached traces give
+every eigenvalue multiplicity (eigenvalue_multiplicity).
 
   * m is found as the first j for which the Hankel matrix of power traces
     [tr(A^(a+b))]_{a,b<=j} becomes singular (the Hankel matrix is the Gram
@@ -27,6 +28,7 @@ exact object arrays. For the powers the bound is the walk count k^j.
 import numpy as np
 
 from .errors import InvariantViolation, require
+from .exact import divide_out_root, eval_poly_at_int
 
 _FLOAT64_EXACT = 1 << 53
 _INT64_SAFE = 1 << 62
@@ -179,21 +181,16 @@ def minimal_polynomial(g, powers=None):
     raise InvariantViolation("Hankel matrix stayed nonsingular past n")
 
 
-def eigenvalue_multiplicities(g, eigenvalues, powers=None):
-    """Multiplicities of the given complete list of distinct eigenvalues.
+def eigenvalue_multiplicity(ps, psi, lam):
+    """Multiplicity of lam, a root of the minimal polynomial psi, from traces.
 
-    Solves the Vandermonde system sum_i m_i lam_i^s = tr(A^s) for
-    s = 0..m-1; valid only when `eigenvalues` really is the full set of
-    distinct eigenvalues (the caller established that via the minimal
-    polynomial). Returns a list aligned with `eigenvalues`.
+    With q = psi / (x - lam), q(A) = q(lam) E_lam for the spectral
+    idempotent E_lam, whose trace is the multiplicity. tr q(A) is a sum of
+    the traces the PowerSequence already caches, so no matrix is touched.
     """
-    ps = powers if powers is not None else PowerSequence(g)
-    ff = _FractionFree()
-    for t, lam in enumerate(eigenvalues):
-        row = [mu**t for mu in eigenvalues[:t]]
-        col = [lam**s for s in range(t + 1)]
-        require(ff.extend(row, col) != 0, "eigenvalues must be distinct")
-    mults = ff.solve([ps.trace(s) for s in range(len(eigenvalues))])
-    require(min(mults) > 0, "multiplicities must be positive")
-    require(sum(mults) == g.n, "multiplicities must sum to n")
-    return mults
+    q, rem = divide_out_root(psi, lam)
+    require(rem == 0, "lam must be a root of the minimal polynomial")
+    mult, rem = divmod(sum(x * ps.trace(j) for j, x in enumerate(q)),
+                       eval_poly_at_int(q, lam))
+    require(rem == 0 and mult > 0, "multiplicity must be a positive integer")
+    return mult

@@ -1,23 +1,25 @@
 """Canonical vector colorings, the exact rank test, and core certificates.
 
 The canonical coloring of a 1-walk-regular graph is handled purely through
-its Gram matrix: an integer matrix B that is a known multiple of the
-projector onto the least eigenspace, plus an exact rational scale. The
-vectors themselves are never materialized (their entries are irrational);
-every statement used downstream is expressible through B.
+its Gram matrix: the primitive integer matrix b = c E_tau, a multiple of
+the projector E_tau onto the least eigenspace, plus an exact rational
+scale. The vectors themselves are never materialized (their entries are
+irrational); every statement used downstream is expressible through b.
 
 The decision pipeline for one graph:
 
-    spectral_data   ->  psi, tau, d, phi_tau, c, walk flags (exact integers)
-    canonical_gram  ->  B = phi_tau(A), scale n/(d c)
+    spectral_data   ->  psi, tau, d, walk flags (exact integers)
+    canonical_gram  ->  b = +-psi_tau(A) / gcd, c with b^2 = c b, scale n/(d c)
     uvc_test        ->  rank of the span of the edge matrices vs d(d+1)/2
     core_certificate -> one-sided core verdict with reason codes
 
 spectral_data is the single spectral pass: it builds the adjacency powers
-A^0..A^m once, finds the minimal polynomial psi from their traces, and
-decides walk-regularity on the same powers. canonical_gram evaluates
-B = phi_tau(A) as (phi_tau mod psi)(A), a sum of those powers, and then
-releases them, so the rank test runs without them.
+A^0..A^m once, finds the minimal polynomial psi from their traces, takes
+d from the same traces and decides walk-regularity on the same powers.
+canonical_gram evaluates psi_tau(A) for psi_tau = psi / (x - tau), a sum
+of those powers equal to psi_tau(tau) E_tau, and then releases them, so
+the rank test runs without them. The characteristic polynomial is built
+only for `uvcore spectra` (characteristic_polynomial).
 """
 
 import time
@@ -31,7 +33,7 @@ import numpy as np
 from ._kernels import psd_rank
 from ._spectrum import (
     PowerSequence,
-    eigenvalue_multiplicities,
+    eigenvalue_multiplicity,
     exact_matmul,
     minimal_polynomial,
 )
@@ -47,9 +49,8 @@ from .errors import (
 from .exact import (
     charpoly,
     divide_out_root,
+    eval_poly_at_int,
     integer_roots,
-    poly_content,
-    poly_divmod_int,
     poly_mul,
     sturm_root_count,
 )
@@ -77,24 +78,18 @@ INCONCLUSIVE = "inconclusive"
 class SpectralData:
     """Exact spectral facts about a connected regular graph.
 
-    phi is the characteristic polynomial (ascending coefficients), tau the
-    least eigenvalue (an integer by construction or the call fails), d its
-    multiplicity, phi_tau = phi / (x - tau)^d, and c = phi_tau(tau) != 0.
-    integral_spectrum lists (eigenvalue, multiplicity) pairs in decreasing
-    eigenvalue order when the whole spectrum is integral, else None.
-    psi is the minimal polynomial and walk the walk-regularity flags.
-    powers is the PowerSequence of the pass; the canonical Gram, its last
-    consumer, releases the matrices (they are rebuilt if asked for again).
+    tau is the least eigenvalue (an integer by construction or the call
+    fails) and d its multiplicity. psi is the minimal polynomial (ascending
+    coefficients) and walk the walk-regularity flags. powers is the
+    PowerSequence of the pass; it keeps its traces, and the canonical Gram,
+    the last consumer of its matrices, releases them (they are rebuilt if
+    asked for again).
     """
 
-    phi: tuple
     tau: int
     d: int
-    phi_tau: tuple
-    c: int
     degree_k: int
     n: int
-    integral_spectrum: tuple
     psi: tuple
     walk: WalkRegularity
     powers: PowerSequence = field(compare=False, repr=False)
@@ -104,11 +99,14 @@ class SpectralData:
 class CanonicalGram:
     """Integer Gram data of the canonical vector coloring.
 
-    The actual Gram matrix is scale * b entrywise, with
-    scale = n / (d * c) as an exact rational.
+    b is the primitive (entry gcd 1) positive semidefinite integer multiple
+    c E_tau of the least-eigenspace projector, so b^2 = c b and
+    tr b = d c. The actual Gram matrix (n/d) E_tau is scale * b entrywise,
+    with scale = n / (d * c) > 0 as an exact rational.
     """
 
     b: tuple
+    c: int
     scale: Fraction
     spectral: SpectralData
 
@@ -147,13 +145,14 @@ class SandwichCertificate:
 
 
 def spectral_data(g):
-    """Least eigenvalue, its multiplicity, and the split-off polynomial.
+    """Minimal polynomial, least eigenvalue and its multiplicity, walk flags.
 
     The least eigenvalue must be an integer; this is detected, not
     assumed: the minimal polynomial's integer roots are extracted and a
     Sturm count below the smallest one proves nothing real lies below it,
     otherwise NonIntegerLeastEigenvalue is raised. This is the graph's one
-    spectral pass: the walk flags come from the same adjacency powers.
+    spectral pass: the multiplicity comes from the power traces and the
+    walk flags from the same adjacency powers.
     """
     if g.edge_count() == 0:
         raise EdgelessGraph("spectral data needs at least one edge")
@@ -175,56 +174,52 @@ def spectral_data(g):
         raise NonIntegerLeastEigenvalue(
             "a non-integer eigenvalue lies below %d" % tau
         )
-    if len(roots) == m:
-        # fully integral spectrum: multiplicities from power traces
-        eigs = sorted(roots, reverse=True)
-        spectrum = tuple(zip(eigs, eigenvalue_multiplicities(g, eigs, powers=ps)))
-        phi = [1]
-        for lam, mult in spectrum:
-            for _ in range(mult):
-                phi = poly_mul(phi, [-lam, 1])
-    else:
-        # mixed spectrum with integral least eigenvalue: fall back to the
-        # division-free characteristic polynomial
-        spectrum = None
-        phi = charpoly(g.adjacency())
-    # split off (x - tau)^d; the last remainder is c = phi_tau(tau) != 0
-    phi_tau, d = phi, 0
-    while True:
-        q, c = divide_out_root(phi_tau, tau)
-        if c:
-            break
-        phi_tau, d = q, d + 1
-    require(d > 0 and tau < 0 and -tau <= k, "need tau a root of phi in [-k, 0)")
-    require((c > 0) == ((g.n - d) % 2 == 0), "sign of c must be (-1)^(n-d)")
+    d = eigenvalue_multiplicity(ps, psi, tau)
+    require(tau < 0 and -tau <= k, "need tau in [-k, 0)")
     return SpectralData(
-        phi=tuple(phi),
         tau=tau,
         d=d,
-        phi_tau=tuple(phi_tau),
-        c=c,
         degree_k=k,
         n=g.n,
-        integral_spectrum=spectrum,
         psi=tuple(psi),
         walk=walk_regularity(g, powers=ps, m=m),
         powers=ps,
     )
 
 
-def _phi_tau_matrix(sd):
-    """B = phi_tau(A) exactly, as r(A) for r = phi_tau mod psi.
+def characteristic_polynomial(g, sd):
+    """The characteristic polynomial phi of A, ascending coefficients.
 
-    psi(A) = 0 and both polynomials are monic integer, so r is integral of
-    degree below m and B is a sum of the powers the spectral pass built.
-    r's content is factored out first, which keeps the sum in int64
-    whenever the walk-count bound allows. B is the last use of the powers:
-    they are released before B's Python integers are built.
+    Only `uvcore spectra` prints it; the certify path never builds it. An
+    integral spectrum gives the product of (x - lam)^mult(lam) with the
+    multiplicities from the power traces; a mixed one goes through the
+    division-free charpoly.
+    """
+    roots = integer_roots(sd.psi)
+    if len(roots) == len(sd.psi) - 1:
+        phi = [1]
+        for lam in roots:
+            for _ in range(eigenvalue_multiplicity(sd.powers, sd.psi, lam)):
+                phi = poly_mul(phi, [-lam, 1])
+    else:
+        phi = charpoly(g.adjacency())
+    require(len(phi) - 1 == g.n, "phi must have degree n")
+    return phi
+
+
+def _primitive_projector(sd):
+    """(b, c): b = c E_tau primitive positive semidefinite, b^2 = c b.
+
+    For psi_tau = psi / (x - tau), psi_tau(A) = psi_tau(tau) E_tau is the
+    spectral idempotent's multiple, a sum of the powers the spectral pass
+    built; psi_tau is monic of degree m - 1, which keeps the sum in int64
+    whenever the walk-count bound allows. Dividing by the gcd g of its
+    entries, with the sign of psi_tau(tau), gives b and c = |psi_tau(tau)|/g.
+    b is the last use of the powers: they are released before its Python
+    integers are built.
     """
     ps = sd.powers
-    _, r = poly_divmod_int(sd.phi_tau, sd.psi)
-    content = poly_content(r)
-    r = [x // content for x in r]
+    r, _ = divide_out_root(sd.psi, sd.tau)
     bound = sum(abs(x) * sd.degree_k**j for j, x in enumerate(r))
     int64_ok = bound < _INT64_SAFE and all(
         ps.power(j).dtype == np.int64 for j in range(len(r))
@@ -238,7 +233,13 @@ def _phi_tau_matrix(sd):
         ab = exact_matmul(ps.a64, acc, bound * sd.degree_k)
         require(np.array_equal(ab, sd.tau * acc), "A B must equal tau B")
     ps.release()
-    return tuple(tuple(x * content for x in row.tolist()) for row in acc)
+    at_tau = eval_poly_at_int(r, sd.tau)
+    g = gcd(*acc.ravel().tolist())
+    require(g > 0 and at_tau % g == 0, "psi_tau(A) must be a multiple of E_tau")
+    b = acc // (g if at_tau > 0 else -g)
+    c = abs(at_tau) // g
+    require(sum(b.diagonal().tolist()) == sd.d * c, "tr b must equal d c")
+    return tuple(map(tuple, b.tolist())), c
 
 
 def canonical_gram(g, sd=None):
@@ -247,11 +248,8 @@ def canonical_gram(g, sd=None):
         sd = spectral_data(g)
     if not sd.walk.one_walk:
         raise NotOneWalkRegular("graph is not 1-walk-regular")
-    return CanonicalGram(
-        b=_phi_tau_matrix(sd),
-        scale=Fraction(g.n, sd.d * sd.c),
-        spectral=sd,
-    )
+    b, c = _primitive_projector(sd)
+    return CanonicalGram(b=b, c=c, scale=Fraction(g.n, sd.d * c), spectral=sd)
 
 
 def vector_chromatic(g):
@@ -285,18 +283,6 @@ def edge_gram_matrix(cg, g):
     scaling the projector scales this whole matrix by a square.
     """
     return _edge_gram(cg.b, list(g.edges()))
-
-
-def _content_reduced(b):
-    g = 0
-    for row in b:
-        for x in row:
-            g = gcd(g, x)
-        if g == 1:
-            break
-    if g in (0, 1):
-        return [list(row) for row in b]
-    return [[x // g for x in row] for row in b]
 
 
 def _independent_columns(bp, d):
@@ -382,20 +368,19 @@ def uvc_test(g, cg=None):
     """Rank of the edge-matrix span against the target d(d+1)/2.
 
     A tight verdict certifies that the canonical coloring is the unique
-    optimal one. The rank is computed on a content-reduced projector
-    multiple (pure rescaling, rank-invariant) and through whichever Gram
-    formulation is smaller: edge-indexed or coefficient-indexed.
+    optimal one. The rank is computed on the primitive projector multiple
+    b and through whichever Gram formulation is smaller: edge-indexed or
+    coefficient-indexed.
     """
     if cg is None:
         cg = canonical_gram(g)
     d = cg.spectral.d
     target = d * (d + 1) // 2
     edges = list(g.edges())
-    bp = _content_reduced(cg.b)
     if target <= len(edges):
-        rank = _rank_via_vertex_basis(bp, edges, d)
+        rank = _rank_via_vertex_basis(cg.b, edges, d)
     else:
-        rank = _rank_via_edge_gram(bp, edges)
+        rank = _rank_via_edge_gram(cg.b, edges)
     require(rank <= target, "rank cannot exceed d(d+1)/2")
     return UvcResult(rank=rank, target=target, verdict=TIGHT if rank == target else LOOSE)
 
@@ -417,16 +402,18 @@ def augmented_graph(g, cg=None):
     """Add every pair whose coloring inner product meets the edge threshold.
 
     The threshold is tau/k, the common value on edges of a strict optimal
-    coloring; comparisons are exact rationals, never floats.
+    coloring. With scale = n/(d c) > 0 and k > 0, scale b_ij <= tau/k is the
+    integer test n k b_ij <= tau d c, i.e. b_ij <= floor(tau d c / (n k)).
     """
     if cg is None:
         cg = canonical_gram(g)
     sd = cg.spectral
-    thr = Fraction(sd.tau, sd.degree_k)
+    thr = sd.tau * sd.d * cg.c // (g.n * sd.degree_k)
+    b = cg.b
     rows = [0] * g.n
     for i in range(g.n):
         for j in range(i + 1, g.n):
-            if cg.entry(i, j) <= thr:
+            if b[i][j] <= thr:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     out = Graph(g.n, tuple(rows))

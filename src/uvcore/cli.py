@@ -20,6 +20,7 @@ from . import families
 from .certify import (
     CertReport,
     augmented_graph,
+    characteristic_polynomial,
     core_certificate,
     spectral_data,
 )
@@ -209,7 +210,8 @@ def cmd_augment(ns):
 def cmd_spectra(ns):
     def emit(out, g):
         sd = spectral_data(g)
-        _emit_jsonl(out, {"phi": list(sd.phi), "tau": sd.tau, "d": sd.d})
+        phi = characteristic_polynomial(g, sd)
+        _emit_jsonl(out, {"phi": phi, "tau": sd.tau, "d": sd.d})
 
     return _map_stream(ns, emit)
 

@@ -31,16 +31,6 @@ def poly_degree(p):
     return len(p) - 1
 
 
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    out = [0] * n
-    for i, c in enumerate(p):
-        out[i] = c
-    for i, c in enumerate(q):
-        out[i] += c
-    return poly_trim(out)
-
-
 def poly_mul(p, q):
     if not p or not q:
         return []

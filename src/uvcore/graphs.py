@@ -171,33 +171,6 @@ def complement(g):
     return Graph(g.n, rows)
 
 
-def distance_matrix(g):
-    """All-pairs BFS distances; None marks unreachable pairs."""
-    n = g.n
-    dist = [[None] * n for _ in range(n)]
-    for s in range(n):
-        row = dist[s]
-        seen = 1 << s
-        frontier = 1 << s
-        d = 0
-        while frontier:
-            m = frontier
-            while m:
-                b = m & -m
-                row[b.bit_length() - 1] = d
-                m ^= b
-            nxt = 0
-            m = frontier
-            while m:
-                b = m & -m
-                nxt |= g.rows[b.bit_length() - 1]
-                m ^= b
-            frontier = nxt & ~seen
-            seen |= nxt
-            d += 1
-    return dist
-
-
 def distance_two_graph(g):
     """Graph on the same vertices joining exactly the distance-2 pairs."""
     rows = []

@@ -2,7 +2,7 @@
 
 These deliberately use different algorithms from the package: cofactor
 expansion instead of Berkowitz, rational Gaussian elimination instead of
-fraction-free elimination, adjacency-list BFS instead of bitmask BFS.
+fraction-free elimination.
 """
 
 from fractions import Fraction
@@ -95,19 +95,3 @@ def rank_rational(mat):
         if rank == nrows:
             break
     return rank
-
-
-def bfs_distances(n, adj, src):
-    """Plain queue BFS over adjacency lists; None if unreachable."""
-    dist = [None] * n
-    dist[src] = 0
-    queue = [src]
-    while queue:
-        nxt = []
-        for u in queue:
-            for v in adj[u]:
-                if dist[v] is None:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        queue = nxt
-    return dist

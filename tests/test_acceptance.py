@@ -110,12 +110,12 @@ def test_criterion_5_projection_identities(one_walk_regular_corpus):
         a = g.adjacency()
         b = [list(r) for r in cg.b]
         ok &= mat_mul(a, b) == [[sd.tau * x for x in row] for row in b]
-        ok &= mat_mul(b, b) == [[sd.c * x for x in row] for row in b]
-        ok &= sum(b[i][i] for i in range(g.n)) == sd.d * sd.c
+        ok &= mat_mul(b, b) == [[cg.c * x for x in row] for row in b]
+        ok &= sum(b[i][i] for i in range(g.n)) == sd.d * cg.c
         ok &= len({b[i][i] for i in range(g.n)}) == 1
         edge_vals = {b[i][j] for i, j in g.edges()}
         ok &= len(edge_vals) == 1
-        ok &= Fraction(g.n * edge_vals.pop(), sd.d * sd.c) == Fraction(
+        ok &= Fraction(g.n * edge_vals.pop(), sd.d * cg.c) == Fraction(
             sd.tau, sd.degree_k
         )
         count += 1

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -32,7 +32,13 @@ from uvcore import (
     vector_chromatic,
     write_graph6,
 )
-from uvcore.certify import LOOSE, TIGHT, _content_reduced, _rank_via_edge_gram, _rank_via_vertex_basis
+from uvcore.certify import (
+    LOOSE,
+    TIGHT,
+    _rank_via_edge_gram,
+    _rank_via_vertex_basis,
+    characteristic_polynomial,
+)
 from uvcore.errors import (
     EdgelessGraph,
     NonIntegerLeastEigenvalue,
@@ -40,23 +46,43 @@ from uvcore.errors import (
     NotOneWalkRegular,
     NotRegular,
 )
-from uvcore.exact import eval_poly_at_int, mat_mul, poly_mul
+from uvcore.exact import charpoly, divide_out_root, eval_poly_at_int, mat_mul, poly_mul
 
 
 # ---------------------------------------------------------------------------
 # spectral_data
 
 
+def split_least_root(phi, tau):
+    """(phi_tau, d): phi = phi_tau (x - tau)^d with phi_tau(tau) != 0."""
+    d = 0
+    while True:
+        q, rem = divide_out_root(phi, tau)
+        if rem:
+            return phi, d
+        phi, d = q, d + 1
+
+
 def test_spectral_petersen():
-    sd = spectral_data(petersen())
-    assert (sd.tau, sd.d, sd.c) == (-2, 4, 1215)
+    g = petersen()
+    sd = spectral_data(g)
+    assert (sd.tau, sd.d) == (-2, 4)
+    assert canonical_gram(g, sd=sd).c == 15
+    phi = characteristic_polynomial(g, sd)
+    assert phi == charpoly(g.adjacency())
+    phi_tau, d = split_least_root(phi, sd.tau)
+    assert d == 4 and eval_poly_at_int(phi_tau, sd.tau) == 1215
 
 
 def test_spectral_k4():
-    sd = spectral_data(complete(4))
+    g = complete(4)
+    sd = spectral_data(g)
     assert (sd.tau, sd.d) == (-1, 3)
-    assert sd.phi_tau == (-3, 1)
-    assert sd.c == -4
+    cg = canonical_gram(g, sd=sd)
+    a = g.adjacency()
+    assert [list(row) for row in cg.b] == [[3 * (i == j) - a[i][j] for j in range(4)]
+                                           for i in range(4)]
+    assert cg.c == 4
 
 
 def test_spectral_hamming54():
@@ -83,18 +109,21 @@ def test_spectral_non_integer_least_eigenvalue():
 
 
 def test_spectral_phi_matches_charpoly():
-    from uvcore import charpoly
-
     for g in (petersen(), complete(5), rook_graph(3), hamming_h(5, 4)):
         sd = spectral_data(g)
-        assert list(sd.phi) == charpoly(g.adjacency())
-        # phi = phi_tau * (x - tau)^d exactly
-        rebuilt = list(sd.phi_tau)
+        phi = characteristic_polynomial(g, sd)
+        assert phi == charpoly(g.adjacency())
+        # phi = phi_tau * (x - tau)^d exactly, with d the multiplicity
+        phi_tau, d = split_least_root(phi, sd.tau)
+        assert d == sd.d
+        rebuilt = phi_tau
         for _ in range(sd.d):
             rebuilt = poly_mul(rebuilt, [-sd.tau, 1])
-        assert rebuilt == list(sd.phi)
-        assert sd.c == eval_poly_at_int(list(sd.phi_tau), sd.tau)
-        assert (sd.c > 0) == ((sd.n - sd.d) % 2 == 0)
+        assert rebuilt == phi
+        # phi_tau(A) = phi_tau(tau) E_tau is an integer multiple of b = c E_tau
+        at_tau = eval_poly_at_int(phi_tau, sd.tau)
+        assert at_tau % canonical_gram(g, sd=sd).c == 0
+        assert (at_tau > 0) == ((sd.n - sd.d) % 2 == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -112,14 +141,14 @@ def check_projection_identities(g):
     assert ab == [[sd.tau * x for x in row] for row in b]
     # B^2 = c B
     bb = mat_mul(b, b)
-    assert bb == [[sd.c * x for x in row] for row in b]
+    assert bb == [[cg.c * x for x in row] for row in b]
     # trace = d c
-    assert sum(b[i][i] for i in range(n)) == sd.d * sd.c
+    assert sum(b[i][i] for i in range(n)) == sd.d * cg.c
     # constant diagonal
     assert len({b[i][i] for i in range(n)}) == 1
     # strict edge value: (n/d) B_ij / c = tau / k on every edge
     for i, j in g.edges():
-        assert Fraction(n * b[i][j], sd.d * sd.c) == Fraction(sd.tau, sd.degree_k)
+        assert Fraction(n * b[i][j], sd.d * cg.c) == Fraction(sd.tau, sd.degree_k)
     return cg
 
 
@@ -243,6 +272,20 @@ def test_uvc_rank_bounded(one_walk_regular_corpus):
         assert res.rank <= res.target, name
 
 
+def test_gram_is_primitive_with_positive_diagonal():
+    # each graph has an even number of distinct eigenvalues, so
+    # psi_tau(tau) < 0 and b is -psi_tau(A) / gcd
+    for g in (complete(4), kneser(7, 3), hamming_h(6, 4)):
+        cg = canonical_gram(g)
+        sd = cg.spectral
+        psi_tau, _ = divide_out_root(list(sd.psi), sd.tau)
+        assert eval_poly_at_int(psi_tau, sd.tau) < 0
+        b = cg.b
+        assert gcd(*(x for row in b for x in row)) == 1
+        assert len({b[i][i] for i in range(g.n)}) == 1 and b[0][0] > 0
+        assert cg.c > 0
+
+
 def test_rank_routes_agree(one_walk_regular_corpus):
     # the edge-indexed and coefficient-indexed Gram formulations must give
     # identical ranks; also against the rational elimination oracle
@@ -250,10 +293,9 @@ def test_rank_routes_agree(one_walk_regular_corpus):
         if g.n > 36 or g.edge_count() > 60:
             continue
         cg = canonical_gram(g)
-        bp = _content_reduced(cg.b)
         edges = list(g.edges())
-        r_edge = _rank_via_edge_gram(bp, edges)
-        r_vert = _rank_via_vertex_basis(bp, edges, cg.spectral.d)
+        r_edge = _rank_via_edge_gram(cg.b, edges)
+        r_vert = _rank_via_vertex_basis(cg.b, edges, cg.spectral.d)
         r_oracle = rank_rational(edge_gram_matrix(cg, g))
         assert r_edge == r_vert == r_oracle, name
 
@@ -263,6 +305,7 @@ def test_scale_invariance_of_rank():
     cg = canonical_gram(g)
     scaled = type(cg)(
         b=tuple(tuple(3 * x for x in row) for row in cg.b),
+        c=3 * cg.c,
         scale=cg.scale / 3,
         spectral=cg.spectral,
     )

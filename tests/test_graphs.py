@@ -3,13 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import complete, complete_bipartite, cycle, path_graph, petersen, rook_graph
-from oracles import bfs_distances
 
 from uvcore import (
     Graph,
     complement,
     components,
-    distance_matrix,
     distance_two_graph,
     from_edges,
     is_bipartite,
@@ -123,25 +121,6 @@ def test_complement_examples():
 def test_complement_involution(seed, n):
     g = random_graph(n, seed)
     assert complement(complement(g)) == g
-
-
-def test_distance_matrix_examples():
-    assert distance_matrix(complete(2)) == [[0, 1], [1, 0]]
-    d = distance_matrix(path_graph(3))
-    assert d[0][2] == 2
-    iso = Graph(2, (0, 0))
-    d = distance_matrix(iso)
-    assert d[0][1] is None and d[1][0] is None and d[0][0] == 0
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2000), st.integers(1, 30))
-def test_distance_matrix_vs_bfs_oracle(seed, n):
-    g = random_graph(n, seed)
-    adj = [list(g.neighbors(i)) for i in range(n)]
-    d = distance_matrix(g)
-    for s in range(n):
-        assert d[s] == bfs_distances(n, adj, s)
 
 
 def test_distance_two_examples():

@@ -2,6 +2,7 @@
 general-purpose routes they shortcut."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -12,19 +13,25 @@ from uvcore._spectrum import (
     PowerSequence,
     _FractionFree,
     adjacency_array,
+    eigenvalue_multiplicity,
     exact_matmul,
     minimal_polynomial,
 )
 from uvcore.certify import (
     _coefficient_gram,
-    _content_reduced,
     _independent_columns,
-    _phi_tau_matrix,
+    _primitive_projector,
     canonical_gram,
+    characteristic_polynomial,
     spectral_data,
 )
 from uvcore.errors import InvariantViolation
-from uvcore.exact import squarefree_part
+from uvcore.exact import divide_out_root, eval_poly_at_int, integer_roots, squarefree_part
+
+
+def is_mixed(sd):
+    """Whether some eigenvalue is irrational (psi has fewer integer roots than m)."""
+    return len(integer_roots(list(sd.psi))) < len(sd.psi) - 1
 
 
 def test_minimal_polynomial_is_squarefree_charpoly(one_walk_regular_corpus):
@@ -51,6 +58,21 @@ def test_fraction_free_pivots_are_leading_minors():
         ff.solve([1, 0])
 
 
+def test_eigenvalue_multiplicity_matches_charpoly_roots(one_walk_regular_corpus):
+    # every integer root of phi, with its multiplicity, from the traces
+    # alone; the ladder complement also has irrational eigenvalues
+    graphs = {n: g for n, g in one_walk_regular_corpus.items() if g.n <= 36}
+    graphs["ladder_complement"] = moebius_ladder_complement()
+    for name, g in graphs.items():
+        ps = PowerSequence(g)
+        psi = minimal_polynomial(g, powers=ps)
+        for lam, mult in integer_roots(charpoly(g.adjacency())).items():
+            assert eigenvalue_multiplicity(ps, psi, lam) == mult, (name, lam)
+        # the degree k is the largest eigenvalue, so k + 1 is not a root
+        with pytest.raises(InvariantViolation):
+            eigenvalue_multiplicity(ps, psi, g.degree(0) + 1)
+
+
 def test_minimal_polynomial_annihilates(one_walk_regular_corpus):
     import numpy as np
 
@@ -66,16 +88,29 @@ def test_minimal_polynomial_annihilates(one_walk_regular_corpus):
 
 
 def test_projector_fast_path_equals_horner(one_walk_regular_corpus):
-    # B = (phi_tau mod psi)(A) from the spectral pass's powers against the
-    # degree-(n-d) Horner evaluation of phi_tau itself
+    # b from psi_tau(A) on the spectral pass's powers against the primitive
+    # part of the degree-(n-d) Horner evaluation of phi_tau = phi/(x-tau)^d,
+    # phi from Berkowitz; b's sign is that of phi_tau(tau), since
+    # phi_tau(A) = phi_tau(tau) E_tau and b = c E_tau with c > 0
     graphs = {n: g for n, g in one_walk_regular_corpus.items() if g.n <= 36}
     graphs["ladder_complement"] = moebius_ladder_complement()
     for name, g in graphs.items():
         sd = spectral_data(g)
-        assert (sd.integral_spectrum is None) == (name == "ladder_complement"), name
-        fast = _phi_tau_matrix(sd)
-        slow = eval_poly_at_matrix(list(sd.phi_tau), g.adjacency())
-        assert [list(r) for r in fast] == slow, name
+        assert is_mixed(sd) == (name == "ladder_complement"), name
+        b, c = _primitive_projector(sd)
+        phi_tau = charpoly(g.adjacency())
+        for _ in range(sd.d):
+            phi_tau, rem = divide_out_root(phi_tau, sd.tau)
+            assert rem == 0, name
+        at_tau = eval_poly_at_int(phi_tau, sd.tau)
+        assert at_tau != 0, name
+        slow = eval_poly_at_matrix(phi_tau, g.adjacency())
+        content = gcd(*(x for row in slow for x in row))
+        if at_tau < 0:
+            content = -content
+        primitive = [[x // content for x in row] for row in slow]
+        assert [list(r) for r in b] == primitive, name
+        assert at_tau % c == 0, name
 
 
 def test_q_kneser_gram_matches_q_analog_formula():
@@ -102,9 +137,9 @@ def test_q_kneser_gram_matches_q_analog_formula():
 def test_spectral_data_slow_path_used_for_mixed_spectra():
     g = moebius_ladder_complement()
     sd = spectral_data(g)
-    assert sd.integral_spectrum is None  # forced down the Berkowitz path
+    assert is_mixed(sd)  # forced down the Berkowitz path
     assert (sd.tau, sd.d) == (-2, 2)
-    assert list(sd.phi) == charpoly(g.adjacency())
+    assert characteristic_polynomial(g, sd) == charpoly(g.adjacency())
 
 
 def test_power_sequence_object_fallback():
@@ -180,16 +215,15 @@ def test_coefficient_gram_equals_explicit_z_gram(one_walk_regular_corpus):
     # the corpus holds H_{7,4} (rank 364) and qK(4:2) (rank 91)
     for name, g in one_walk_regular_corpus.items():
         cg = canonical_gram(g)
-        bp = _content_reduced(cg.b)
         edges = list(g.edges())
-        want = _explicit_coefficient_gram(bp, edges, cg.spectral.d)
-        assert _coefficient_gram(bp, edges, cg.spectral.d) == want, name
+        want = _explicit_coefficient_gram(cg.b, edges, cg.spectral.d)
+        assert _coefficient_gram(cg.b, edges, cg.spectral.d) == want, name
     # a scaled basis moves T's bound past 2^53 (int64 route, shift 10),
     # K's past 2^62 (objects after a float A P, shift 12) and A P's past
     # 2^62 (objects throughout, shift 40)
     cg = canonical_gram(petersen())
     edges = list(petersen().edges())
     for shift in (10, 12, 40):
-        bp = [[x << shift for x in row] for row in _content_reduced(cg.b)]
+        bp = [[x << shift for x in row] for row in cg.b]
         want = _explicit_coefficient_gram(bp, edges, cg.spectral.d)
         assert _coefficient_gram(bp, edges, cg.spectral.d) == want, shift
