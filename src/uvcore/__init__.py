@@ -30,8 +30,6 @@ from .exact import (
     divide_out_root,
     eval_poly_at_int,
     eval_poly_at_matrix,
-    integer_roots,
-    sturm_root_count,
 )
 from .families import (
     cayley_z2,

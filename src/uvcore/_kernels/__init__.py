@@ -1,23 +1,13 @@
 """Kernel lane selection: compiled extension if importable, else pure Python.
 
-Set UVCORE_KERNELS=py or UVCORE_KERNELS=c to force a lane (forcing "c"
-raises if the extension was not built). Both lanes run the identical
-algorithm on arbitrary-precision integers and return identical results.
+Both lanes run the identical algorithm on arbitrary-precision integers and
+return identical results.
 """
 
-import os
-
-_force = os.environ.get("UVCORE_KERNELS", "").strip().lower()
-
-if _force in ("py", "python", "pure"):
-    from . import pykernels as _impl
-elif _force == "c":
-    from . import ckernels as _impl  # type: ignore[no-redef]
-else:
-    try:
-        from . import ckernels as _impl  # type: ignore[no-redef]
-    except ImportError:
-        from . import pykernels as _impl  # type: ignore[no-redef]
+try:
+    from . import ckernels as _impl
+except ImportError:
+    from . import pykernels as _impl  # type: ignore[no-redef]
 
 BACKEND = _impl.BACKEND
 bareiss_rank = _impl.bareiss_rank

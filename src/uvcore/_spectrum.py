@@ -1,8 +1,8 @@
 """Shared spectral machinery: adjacency powers and exact minimal polynomials.
 
 The minimal polynomial psi of an adjacency matrix A (symmetric, hence
-diagonalizable) is squarefree with degree equal to the number of distinct
-eigenvalues m, so every polynomial in A equals one of degree below m.
+diagonalizable) has one simple root per distinct eigenvalue, so its degree
+is their number m, and every polynomial in A equals one of degree below m.
 One PowerSequence per graph therefore carries the whole spectral side:
 the powers A^0..A^m built while finding psi also decide walk-regularity
 (exponents below m are exhaustive) and give the canonical Gram

@@ -46,14 +46,7 @@ from .errors import (
     NotRegular,
     require,
 )
-from .exact import (
-    charpoly,
-    divide_out_root,
-    eval_poly_at_int,
-    integer_roots,
-    poly_mul,
-    sturm_root_count,
-)
+from .exact import charpoly, divide_out_root, eval_poly_at_int, poly_mul
 from .graphs import (
     Graph,
     distance_two_graph,
@@ -144,15 +137,45 @@ class SandwichCertificate:
     reasons: tuple
 
 
+def _integer_eigenvalues(psi, k):
+    """The integer roots of psi, increasing: the integer eigenvalues.
+
+    psi is the minimal polynomial of a k-regular graph, so every root lies
+    in [-k, k], and k itself is one.
+    """
+    return [t for t in range(-k, k + 1) if eval_poly_at_int(psi, t) == 0]
+
+
+def _roots_above(q, t):
+    """Whether no real root of the integer polynomial q is <= t.
+
+    With c_j the Taylor coefficients of q at t (repeated synthetic
+    division), a root t - y with y >= 0 is a nonnegative root of
+    q(t - y) = sum (-1)^j c_j y^j. If every (-1)^j c_j is nonzero with one
+    sign, y = 0 is no root and Descartes' rule of signs leaves no positive
+    one. The converse holds when q is real-rooted: with all roots above t,
+    q(t - y) is a constant times a product of (y + r_i - t), all r_i - t > 0.
+    """
+    coeffs = []  # (-1)^j c_j
+    while q:
+        q, c = divide_out_root(q, t)
+        coeffs.append(-c if len(coeffs) % 2 else c)
+    return all(c > 0 for c in coeffs) or all(c < 0 for c in coeffs)
+
+
 def spectral_data(g):
     """Minimal polynomial, least eigenvalue and its multiplicity, walk flags.
 
     The least eigenvalue must be an integer; this is detected, not
-    assumed: the minimal polynomial's integer roots are extracted and a
-    Sturm count below the smallest one proves nothing real lies below it,
-    otherwise NonIntegerLeastEigenvalue is raised. This is the graph's one
-    spectral pass: the multiplicity comes from the power traces and the
-    walk flags from the same adjacency powers.
+    assumed. tau is the least integer root of the minimal polynomial psi,
+    and psi / (x - tau) must have no real root at or below tau
+    (_roots_above, by Descartes' rule of signs), otherwise
+    NonIntegerLeastEigenvalue is raised. psi is the minimal polynomial of
+    a symmetric matrix, so its roots are real and simple, and the sign
+    test is exact: it rejects precisely the graphs whose least eigenvalue
+    is not an integer. This is the graph's one spectral pass: the
+    multiplicity comes from the power traces and the walk flags from the
+    same adjacency powers.
     """
     if g.edge_count() == 0:
         raise EdgelessGraph("spectral data needs at least one edge")
@@ -164,13 +187,8 @@ def spectral_data(g):
     ps = PowerSequence(g)
     psi = minimal_polynomial(g, powers=ps)
     m = len(psi) - 1
-    roots = integer_roots(psi)
-    if not roots:
-        raise NonIntegerLeastEigenvalue("no integer eigenvalues at all")
-    tau = min(roots)
-    quot, rem = divide_out_root(psi, tau)
-    require(rem == 0, "tau must be a root of the minimal polynomial")
-    if len(quot) > 1 and sturm_root_count(quot, -k - 1, Fraction(tau)) > 0:
+    tau = _integer_eigenvalues(psi, k)[0]
+    if not _roots_above(divide_out_root(psi, tau)[0], tau):
         raise NonIntegerLeastEigenvalue(
             "a non-integer eigenvalue lies below %d" % tau
         )
@@ -190,12 +208,12 @@ def spectral_data(g):
 def characteristic_polynomial(g, sd):
     """The characteristic polynomial phi of A, ascending coefficients.
 
-    Only `uvcore spectra` prints it; the certify path never builds it. An
-    integral spectrum gives the product of (x - lam)^mult(lam) with the
-    multiplicities from the power traces; a mixed one goes through the
-    division-free charpoly.
+    Only `uvcore spectra` prints it; the certify path never builds it. If
+    every root of psi is one of the integers in [-k, k], phi is the product
+    of (x - lam)^mult(lam) with the multiplicities from the power traces;
+    a mixed spectrum goes through the division-free charpoly.
     """
-    roots = integer_roots(sd.psi)
+    roots = _integer_eigenvalues(sd.psi, sd.degree_k)
     if len(roots) == len(sd.psi) - 1:
         phi = [1]
         for lam in roots:

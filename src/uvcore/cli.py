@@ -45,9 +45,12 @@ CSV_COLUMNS = [
 
 
 def _open_input(path):
+    # graph6 is ASCII; any other byte survives decoding as a lone surrogate,
+    # which parse_graph6 refuses, so each such line becomes an error record
     if path == "-":
+        sys.stdin.reconfigure(encoding="ascii", errors="surrogateescape")
         return sys.stdin
-    return open(path, "r", encoding="ascii")
+    return open(path, "r", encoding="ascii", errors="surrogateescape")
 
 
 @contextmanager

@@ -19,10 +19,6 @@ class NotSquare(UvcoreError):
     code = "NotSquare"
 
 
-class EndpointIsRoot(UvcoreError):
-    code = "EndpointIsRoot"
-
-
 class SizeBudgetExceeded(UvcoreError):
     code = "SizeBudgetExceeded"
 

@@ -58,13 +58,7 @@ def kneser(n, r, vertex_budget=DEFAULT_VERTEX_BUDGET, edge_budget=DEFAULT_EDGE_B
     nv = comb(n, r)
     ne = nv * comb(n - r, r) // 2
     _check_budget(nv, ne, vertex_budget, edge_budget)
-    masks = []
-    for last in range(r, n + 1):
-        for rest in combinations(range(1, last), r - 1):
-            m = 1 << (last - 1)
-            for t in rest:
-                m |= 1 << (t - 1)
-            masks.append(m)
+    masks = _kneser_masks(n, r)
     rows = [0] * nv
     for a in range(nv):
         for b in range(a + 1, nv):
@@ -74,8 +68,8 @@ def kneser(n, r, vertex_budget=DEFAULT_VERTEX_BUDGET, edge_budget=DEFAULT_EDGE_B
     return Graph(nv, tuple(rows))
 
 
-def kneser_vertex_index(n, r):
-    """Map from subset bitmask to vertex index in kneser(n, r) order."""
+def _kneser_masks(n, r):
+    """r-subsets of {1..n} as bitmasks (element t on bit t-1), in colex order."""
     masks = []
     for last in range(r, n + 1):
         for rest in combinations(range(1, last), r - 1):
@@ -83,7 +77,12 @@ def kneser_vertex_index(n, r):
             for t in rest:
                 m |= 1 << (t - 1)
             masks.append(m)
-    return {m: i for i, m in enumerate(masks)}
+    return masks
+
+
+def kneser_vertex_index(n, r):
+    """Map from subset bitmask to vertex index in kneser(n, r) order."""
+    return {m: i for i, m in enumerate(_kneser_masks(n, r))}
 
 
 def _is_prime(q):
@@ -175,6 +174,17 @@ def q_kneser(q, n, r, vertex_budget=DEFAULT_VERTEX_BUDGET, edge_budget=DEFAULT_E
     return Graph(nv, tuple(rows))
 
 
+def _xor_graph(nv, good):
+    """Graph on 0..nv-1 joining s and s ^ m for every mask m in good."""
+    rows = [0] * nv
+    for s in range(nv):
+        acc = 0
+        for m in good:
+            acc |= 1 << (s ^ m)
+        rows[s] = acc
+    return Graph(nv, tuple(rows))
+
+
 def _hamming_like(n, k, accept, vertex_budget, edge_budget):
     """Common builder for the even-weight distance graphs of the n-cube.
 
@@ -190,13 +200,7 @@ def _hamming_like(n, k, accept, vertex_budget, edge_budget):
     nv = 1 << (n - 1)
     good = [m for m in range(1, nv) if accept(m.bit_count())]
     _check_budget(nv, nv * len(good) // 2, vertex_budget, edge_budget)
-    rows = [0] * nv
-    for s in range(nv):
-        acc = 0
-        for m in good:
-            acc |= 1 << (s ^ m)
-        rows[s] = acc
-    return Graph(nv, tuple(rows))
+    return _xor_graph(nv, good)
 
 
 def hamming_h(n, k, vertex_budget=DEFAULT_VERTEX_BUDGET, edge_budget=DEFAULT_EDGE_BUDGET):
@@ -224,13 +228,7 @@ def cayley_z2(n, weights, vertex_budget=DEFAULT_VERTEX_BUDGET, edge_budget=DEFAU
     nv = 1 << n
     good = [m for m in range(1, nv) if m.bit_count() in wset]
     _check_budget(nv, nv * len(good) // 2, vertex_budget, edge_budget)
-    rows = [0] * nv
-    for s in range(nv):
-        acc = 0
-        for m in good:
-            acc |= 1 << (s ^ m)
-        rows[s] = acc
-    return Graph(nv, tuple(rows))
+    return _xor_graph(nv, good)
 
 
 def q_cube(m, j, vertex_budget=DEFAULT_VERTEX_BUDGET, edge_budget=DEFAULT_EDGE_BUDGET):

@@ -91,7 +91,10 @@ _G6_MAX_N = 258047
 def parse_graph6(data):
     """Decode one graph6 record (bytes or str), whitespace-stripped."""
     if isinstance(data, str):
-        data = data.encode("ascii", errors="replace")
+        try:
+            data = data.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise MalformedGraph6("non-ASCII character at offset %d" % exc.start)
     data = data.strip()
     if data.startswith(b">>graph6<<"):
         data = data[len(b">>graph6<<"):]

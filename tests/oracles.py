@@ -7,6 +7,8 @@ fraction-free elimination.
 
 from fractions import Fraction
 
+from uvcore.exact import divide_out_root
+
 
 def poly_mul(p, q):
     if not p or not q:
@@ -95,3 +97,19 @@ def rank_rational(mat):
         if rank == nrows:
             break
     return rank
+
+
+def integer_root_multiplicities(p, bound):
+    """{root: multiplicity} of the integer roots of p in [-bound, bound].
+
+    Every integer of the range is tried, dividing (x - t) out while it
+    leaves no remainder.
+    """
+    roots = {}
+    for t in range(-bound, bound + 1):
+        q, rem = divide_out_root(p, t)
+        while p and rem == 0:
+            roots[t] = roots.get(t, 0) + 1
+            p = q
+            q, rem = divide_out_root(p, t)
+    return roots

@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     complete,
@@ -22,6 +24,7 @@ from uvcore import (
     edge_gram_matrix,
     hamming_h,
     hamming_h_prime,
+    is_connected,
     is_locally_injective_gram,
     is_spanning_subgraph,
     kneser,
@@ -37,6 +40,7 @@ from uvcore.certify import (
     TIGHT,
     _rank_via_edge_gram,
     _rank_via_vertex_basis,
+    _roots_above,
     characteristic_polynomial,
 )
 from uvcore.errors import (
@@ -106,6 +110,84 @@ def test_spectral_non_integer_least_eigenvalue():
     # the 13-cycle's only integer eigenvalue is 2, everything else irrational
     with pytest.raises(NonIntegerLeastEigenvalue):
         spectral_data(cycle(13))
+
+
+def test_roots_above_examples():
+    # 100x^2 + 401x + 400 has roots near -1.86 and -2.15
+    assert not _roots_above([400, 401, 100], -2)
+    assert _roots_above([-2, 0, 1], -2)  # +-sqrt(2)
+    assert not _roots_above([-2, 0, 1], -1)
+    assert not _roots_above([3, 1], -3)  # a root at t itself
+    assert _roots_above([5], 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-6, 6), max_size=4),
+    st.lists(st.integers(2, 30), max_size=2),
+    st.integers(-7, 7),
+    st.sampled_from([1, -3]),
+)
+def test_roots_above_is_exact_on_real_rooted(int_roots, radicands, t, lead):
+    # lead * prod (x - r) * prod (x^2 - s): real-rooted, so the sign test
+    # must say exactly whether every root exceeds t
+    q = [lead]
+    for r in int_roots:
+        q = poly_mul(q, [-r, 1])
+    for rad in radicands:
+        q = poly_mul(q, [-rad, 0, 1])
+    # x^2 - s has the roots +-sqrt(s); -sqrt(s) > t iff t < 0 and t^2 > s
+    above = all(r > t for r in int_roots) and all(t < 0 and t * t > rad for rad in radicands)
+    assert _roots_above(q, t) == above
+
+
+def _random_regular(rng, n, k):
+    """Connected simple k-regular graph by random pairing with restarts."""
+    while True:
+        points = [v for v in range(n) for _ in range(k)]
+        edges = set()
+        while points:
+            for _attempt in range(100):
+                i, j = rng.sample(range(len(points)), 2)
+                edge = tuple(sorted((points[i], points[j])))
+                if edge[0] != edge[1] and edge not in edges:
+                    break
+            else:
+                break
+            edges.add(edge)
+            for x in sorted((i, j), reverse=True):
+                points.pop(x)
+        g = from_edges(n, sorted(edges))
+        if not points and is_connected(g):
+            return g
+
+
+def test_least_eigenvalue_verdict_matches_float_oracle():
+    # NonIntegerLeastEigenvalue exactly when the floating-point spectrum
+    # says the least eigenvalue is not an integer (floats only as oracle)
+    import random
+
+    import numpy as np
+
+    rng = random.Random(5)
+    graphs = [_random_regular(rng, n, k) for n in range(8, 31) for k in (3, 4, 5, 6)
+              if n * k % 2 == 0]
+    # circulants give integer least eigenvalues with irrational ones above
+    graphs += [from_edges(n, [(i, (i + s) % n) for i in range(n) for s in (1, step)])
+               for n in range(9, 21) for step in range(2, n // 2)]
+    outcomes = set()
+    for g in graphs:
+        lam = np.linalg.eigvalsh(np.array(g.adjacency(), dtype=float))[0]
+        integral = abs(lam - round(lam)) < 1e-6
+        try:
+            sd = spectral_data(g)
+        except NonIntegerLeastEigenvalue:
+            assert not integral, write_graph6(g)
+            outcomes.add(False)
+        else:
+            assert integral and sd.tau == round(lam), write_graph6(g)
+            outcomes.add(True)
+    assert len(graphs) >= 50 and outcomes == {True, False}
 
 
 def test_spectral_phi_matches_charpoly():

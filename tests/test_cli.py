@@ -1,19 +1,24 @@
 import io
 import json
-from contextlib import redirect_stdout
+import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import moebius_ladder_complement, rook_graph
+from conftest import cycle, moebius_ladder_complement, rook_graph
 
-from uvcore import hamming_h_prime, kneser, q_kneser, write_graph6
+from uvcore import Graph, hamming_h_prime, kneser, q_kneser, write_graph6
 from uvcore.cli import main
 
 
 def run_cli(args, stdin_text=None, monkeypatch=None):
     out = io.StringIO()
     if stdin_text is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+        # a text layer over bytes, like the process's own stdin
+        data = stdin_text if isinstance(stdin_text, bytes) else stdin_text.encode()
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
     with redirect_stdout(out):
         code = main(args)
     return code, out.getvalue()
@@ -67,6 +72,86 @@ def test_certify_stream(tmp_path, monkeypatch):
     assert code == 1
 
 
+def _rows_without_ms(text):
+    rows = [json.loads(s) for s in text.splitlines()]
+    for r in rows:
+        r.pop("ms", None)
+    return rows
+
+
+def test_non_ascii_lines_are_malformed_records(tmp_path, monkeypatch):
+    pet = write_graph6(kneser(5, 2))
+    rook = write_graph6(rook_graph(3))
+    # a 0xff line and a UTF-8 line ("D\xc3\xa9c") between valid lines
+    data = pet + b"\n\xff\xfeabc\n" + rook + b"\nD\xc3\xa9c\n" + pet + b"\n"
+    src = tmp_path / "in.g6"
+    src.write_bytes(data)
+    _, clean = run_cli(["certify", "-"], stdin_text=b"\n".join([pet, rook, pet]),
+                       monkeypatch=monkeypatch)
+    valid = _rows_without_ms(clean)[:3]
+    for source, stdin in ((str(src), None), ("-", data)):
+        code, out = run_cli(["certify", source], stdin_text=stdin, monkeypatch=monkeypatch)
+        rows = _rows_without_ms(out)
+        assert code == 2
+        assert len(rows) == 6
+        for i, want in zip((0, 2, 4), valid):
+            assert rows[i] == dict(want, id=i)
+        for i in (1, 3):
+            assert rows[i]["error"] == "MalformedGraph6" and rows[i]["index"] == i
+        assert rows[5]["summary"] == {"total": 5, "tight": 2, "loose": 1,
+                                      "certified_core": 2, "errors": 2}
+    code, out = run_cli(["augment", str(src)])
+    assert code == 2
+    assert [json.loads(s)["error"] for s in out.splitlines() if s.startswith("{")] == [
+        "MalformedGraph6"] * 2
+
+
+def _small_graph(seed):
+    rng = random.Random(seed)
+    n = rng.randint(0, 12)
+    rows = [0] * n
+    for j in range(n):
+        for i in range(j):
+            if rng.random() < 0.5:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return write_graph6(Graph(n, tuple(rows)))
+
+
+# one line of a graph6 stream, never holding a line break itself
+_stream_line = st.one_of(
+    st.binary(max_size=12).map(lambda b: b.replace(b"\n", b"").replace(b"\r", b"")),
+    st.integers(0, 2**16).map(_small_graph),
+    st.sampled_from([kneser(5, 2), rook_graph(3)] + [cycle(n) for n in range(3, 13)]).map(
+        write_graph6),
+    st.tuples(st.integers(0, 2**16), st.integers(0, 8)).map(
+        lambda t: _small_graph(t[0])[:t[1]]),
+    st.binary(min_size=0, max_size=8).map(lambda b: b"~" + bytes(63 + x % 64 for x in b)),
+    st.binary(min_size=0, max_size=8).map(lambda b: b"~~" + bytes(63 + x % 64 for x in b)),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_stream_line, max_size=8))
+def test_certify_stream_contract_fuzz(tmp_path, lines):
+    # exactly one record per non-empty line, then the footer, whatever
+    # the bytes; no traceback on stderr
+    src = tmp_path / "in.g6"
+    src.write_bytes(b"\n".join(lines))
+    expected = sum(1 for b in lines if b.decode("ascii", "surrogateescape").strip())
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["certify", str(src)])
+    rows = [json.loads(s) for s in out.getvalue().splitlines()]
+    assert [r.get("id", r.get("index")) for r in rows[:-1]] == list(range(expected))
+    summary = rows[-1]["summary"]
+    assert summary["total"] == expected
+    assert summary["errors"] == sum("error" in r for r in rows[:-1])
+    assert code == min(summary["errors"], 100)
+    assert err.getvalue() == ""
+
+
 def test_certify_jobs_deterministic(tmp_path):
     pet = write_graph6(kneser(5, 2)).decode()
     rook = write_graph6(rook_graph(3)).decode()
@@ -78,10 +163,7 @@ def test_certify_jobs_deterministic(tmp_path):
         code = main(["--output", str(dst), "certify", str(src), "--jobs", jobs])
         assert code == 0
         # timings vary run to run; strip them before comparing
-        rows = [json.loads(s) for s in dst.read_text().splitlines()]
-        for r in rows:
-            r.pop("ms", None)
-        outs.append(rows)
+        outs.append(_rows_without_ms(dst.read_text()))
     assert outs[0] == outs[1]
 
 
@@ -243,9 +325,6 @@ def test_certify_same_output_under_python_O():
         proc = subprocess.run([sys.executable, *flags, "-m", "uvcore.cli", "certify", "-"],
                               input=text, capture_output=True, text=True, env=env,
                               check=True)
-        rows = [json.loads(s) for s in proc.stdout.splitlines()]
-        for r in rows:
-            r.pop("ms", None)
-        outs.append(rows)
+        outs.append(_rows_without_ms(proc.stdout))
     assert outs[0] == outs[1]
     assert len(outs[0]) == 3 and "error" not in outs[0][1]

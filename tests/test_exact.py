@@ -1,12 +1,11 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import complete, petersen
-from oracles import charpoly_cofactor, rank_rational
+from oracles import charpoly_cofactor, integer_root_multiplicities, rank_rational
 
 from uvcore import (
     bareiss_rank,
@@ -14,17 +13,10 @@ from uvcore import (
     divide_out_root,
     eval_poly_at_int,
     eval_poly_at_matrix,
-    integer_roots,
-    sturm_root_count,
 )
-from uvcore.errors import EndpointIsRoot, NotSquare
-from uvcore.exact import (
-    integer_root_bound,
-    mat_mul,
-    poly_mul,
-    poly_trim,
-    squarefree_part,
-)
+from uvcore.certify import _integer_eigenvalues
+from uvcore.errors import NotSquare
+from uvcore.exact import mat_mul, poly_mul, poly_trim
 
 
 def adjacency(g):
@@ -68,7 +60,7 @@ def test_charpoly_vs_cofactor_oracle_randomized():
 
 
 # ---------------------------------------------------------------------------
-# divide_out_root / integer_roots
+# divide_out_root / integer roots
 
 
 def test_divide_out_root_examples():
@@ -97,81 +89,31 @@ def test_divide_out_root_reconstructs(coeffs, t):
 
 
 def test_integer_roots_examples():
-    assert integer_roots([-2, -3, 0, 1]) == {-1: 2, 2: 1}
-    assert integer_roots([1, 0, 1]) == {}
-    assert integer_roots(charpoly(adjacency(petersen()))) == {3: 1, 1: 5, -2: 4}
+    # the integer-root scan of the spectral pass, over [-k, k]
+    assert _integer_eigenvalues([-2, -3, 0, 1], 2) == [-1, 2]
+    assert _integer_eigenvalues([1, 0, 1], 3) == []
+    assert _integer_eigenvalues(charpoly(adjacency(petersen())), 3) == [-2, 1, 3]
 
 
 def test_integer_roots_with_zero_root():
     # x^2 (x - 4)
-    assert integer_roots(poly_mul([0, 0, 1], [-4, 1])) == {0: 2, 4: 1}
+    assert _integer_eigenvalues(poly_mul([0, 0, 1], [-4, 1]), 4) == [0, 4]
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(-6, 6), min_size=1, max_size=6))
-def test_integer_roots_multiplicity_sum(coeffs):
-    p = poly_trim(coeffs)
-    if not p:
-        return
-    roots = integer_roots(p)
-    assert sum(roots.values()) <= len(p) - 1
+@given(
+    st.dictionaries(st.integers(-6, 6), st.integers(1, 3), max_size=4),
+    st.integers(0, 3),
+)
+def test_integer_roots_multiplicity_sum(roots, extra):
+    # prod (x - r)^mult times x^2 + extra + 1, which has no real root
+    p = [extra + 1, 0, 1]
     for r, mult in roots.items():
-        q = list(p)
         for _ in range(mult):
-            q, rem = divide_out_root(q, r)
-            assert rem == 0
-        assert eval_poly_at_int(q, r) != 0
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(-8, 8), min_size=2, max_size=6))
-def test_root_bound_contains_integer_roots(coeffs):
-    p = poly_trim(coeffs)
-    if len(p) < 2:
-        return
-    b = integer_root_bound(p)
-    for r in integer_roots(p):
-        assert abs(r) <= b
-
-
-# ---------------------------------------------------------------------------
-# Sturm
-
-
-def test_sturm_examples():
-    assert sturm_root_count([-2, 0, 1], 1, 2) == 1  # sqrt(2) in (1, 2)
-    assert sturm_root_count([1, 0, 1], -10, 10) == 0
-    assert sturm_root_count(charpoly(adjacency(petersen())), -4, Fraction(-3, 2)) == 1
-
-
-def test_sturm_endpoint_is_root():
-    with pytest.raises(EndpointIsRoot):
-        sturm_root_count([-4, 0, 1], 2, 3)
-    with pytest.raises(EndpointIsRoot):
-        sturm_root_count([-4, 0, 1], 0, 2)
-
-
-def test_sturm_counts_distinct_roots_of_multiples():
-    # (x-1)^2 (x+3) has distinct roots {1, -3}
-    p = poly_mul(poly_mul([-1, 1], [-1, 1]), [3, 1])
-    assert sturm_root_count(p, -10, 10) == 2
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sets(st.integers(-6, 6), min_size=1, max_size=4))
-def test_sturm_full_range_vs_integer_roots(roots):
-    # fully integer-rooted polynomial: Sturm over a Cauchy-style radius
-    # must count exactly the distinct roots
-    p = [1]
-    for r in roots:
-        p = poly_mul(p, [-r, 1])
-    bound = integer_root_bound(p) + 1
-    assert sturm_root_count(p, -bound, bound) == len(roots)
-
-
-def test_squarefree_part():
-    p = poly_mul(poly_mul([-1, 1], [-1, 1]), [3, 1])
-    assert squarefree_part(p) == poly_mul([-1, 1], [3, 1])
+            p = poly_mul(p, [-r, 1])
+    assert _integer_eigenvalues(p, 6) == sorted(roots)
+    assert integer_root_multiplicities(p, 6) == roots
+    assert sum(roots.values()) <= len(p) - 1
 
 
 # ---------------------------------------------------------------------------

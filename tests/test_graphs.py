@@ -67,6 +67,13 @@ def test_parse_rejects_bad_bytes():
         parse_graph6(b"B")  # truncated body
 
 
+def test_parse_rejects_non_ascii_text():
+    # "D?c" is a 5-vertex graph; "Déc" must not be read as it
+    for text in ("D\u00e9c", "D\udcc3\udca9c"):
+        with pytest.raises(MalformedGraph6, match="offset 1"):
+            parse_graph6(text)
+
+
 def test_parse_rejects_nonzero_padding():
     # K_2 with a stray bit in the padding region
     bad = bytes([65, 63 + 0b110000])

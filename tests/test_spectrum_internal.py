@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from conftest import cycle, moebius_ladder_complement, petersen, prism
+from oracles import integer_root_multiplicities, rank_rational
 
 from uvcore import Graph, charpoly, eval_poly_at_matrix, q_kneser
 from uvcore._spectrum import (
@@ -26,20 +27,32 @@ from uvcore.certify import (
     spectral_data,
 )
 from uvcore.errors import InvariantViolation
-from uvcore.exact import divide_out_root, eval_poly_at_int, integer_roots, squarefree_part
+from uvcore.exact import divide_out_root, eval_poly_at_int, mat_mul
 
 
 def is_mixed(sd):
     """Whether some eigenvalue is irrational (psi has fewer integer roots than m)."""
-    return len(integer_roots(list(sd.psi))) < len(sd.psi) - 1
+    return len(integer_root_multiplicities(list(sd.psi), sd.n)) < len(sd.psi) - 1
 
 
 def test_minimal_polynomial_is_squarefree_charpoly(one_walk_regular_corpus):
+    # psi is the minimal polynomial: monic, psi(A) = 0, and no polynomial
+    # of lower degree vanishes at A (I, A, ..., A^(m-1) are independent)
     graphs = {n: g for n, g in one_walk_regular_corpus.items() if g.n <= 36}
     graphs["prism"] = prism()
     graphs["c5"] = cycle(5)
     for name, g in graphs.items():
-        assert minimal_polynomial(g) == squarefree_part(charpoly(g.adjacency())), name
+        psi = minimal_polynomial(g)
+        m = len(psi) - 1
+        a = g.adjacency()
+        assert psi[-1] == 1, name
+        assert not any(any(row) for row in eval_poly_at_matrix(psi, a)), name
+        power = [[int(i == j) for j in range(g.n)] for i in range(g.n)]
+        flat = []
+        for _ in range(m):
+            flat.append([x for row in power for x in row])
+            power = mat_mul(power, a)
+        assert rank_rational(flat) == m, name
 
 
 def test_fraction_free_pivots_are_leading_minors():
@@ -66,7 +79,8 @@ def test_eigenvalue_multiplicity_matches_charpoly_roots(one_walk_regular_corpus)
     for name, g in graphs.items():
         ps = PowerSequence(g)
         psi = minimal_polynomial(g, powers=ps)
-        for lam, mult in integer_roots(charpoly(g.adjacency())).items():
+        roots = integer_root_multiplicities(charpoly(g.adjacency()), g.n)
+        for lam, mult in roots.items():
             assert eigenvalue_multiplicity(ps, psi, lam) == mult, (name, lam)
         # the degree k is the largest eigenvalue, so k + 1 is not a root
         with pytest.raises(InvariantViolation):
