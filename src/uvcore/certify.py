@@ -30,7 +30,6 @@ from math import gcd
 
 import numpy as np
 
-from ._kernels import psd_rank
 from ._spectrum import (
     PowerSequence,
     eigenvalue_multiplicity,
@@ -46,7 +45,7 @@ from .errors import (
     NotRegular,
     require,
 )
-from .exact import charpoly, divide_out_root, eval_poly_at_int, poly_mul
+from .exact import charpoly, divide_out_root, eval_poly_at_int, poly_mul, psd_rank
 from .graphs import (
     Graph,
     distance_two_graph,

@@ -44,15 +44,6 @@ CSV_COLUMNS = [
 ]
 
 
-def _open_input(path):
-    # graph6 is ASCII; any other byte survives decoding as a lone surrogate,
-    # which parse_graph6 refuses, so each such line becomes an error record
-    if path == "-":
-        sys.stdin.reconfigure(encoding="ascii", errors="surrogateescape")
-        return sys.stdin
-    return open(path, "r", encoding="ascii", errors="surrogateescape")
-
-
 @contextmanager
 def _output(path):
     if path is None or path == "-":
@@ -60,6 +51,26 @@ def _output(path):
     else:
         with open(path, "w", encoding="ascii") as f:
             yield f
+
+
+def _read_stream(ns, body):
+    """body(out, (index, line) per non-empty input line); blank lines take
+    no index. An unopenable input gives one InputUnreadable record, exit 1.
+    """
+    with _output(ns.output) as out:
+        # graph6 is ASCII; any other byte survives decoding as a lone
+        # surrogate, which parse_graph6 refuses: an error record per line
+        try:
+            if ns.input == "-":
+                sys.stdin.reconfigure(encoding="ascii", errors="surrogateescape")
+                f = sys.stdin
+            else:
+                f = open(ns.input, "r", encoding="ascii", errors="surrogateescape")
+        except OSError as exc:
+            _emit_jsonl(out, _error_record(InputUnreadable(str(exc))))
+            return 1
+        with f:
+            return body(out, enumerate(filter(None, map(str.strip, f))))
 
 
 def _report_dict(rep: CertReport):
@@ -124,27 +135,21 @@ def cmd_certify(ns):
     csv = ns.format == "csv"
     emit = _emit_csv_row if csv else _emit_jsonl
 
-    def tasks(f):
-        index = 0
-        for line in f:
-            line = line.strip()
-            if line:
-                yield (index, line, ns.budget_vertices, ns.budget_edges)
-                index += 1
-
-    counts = {"total": 0, "tight": 0, "loose": 0, "certified_core": 0, "errors": 0}
-    # stream: lines are consumed lazily and results come back in input
-    # order (imap), so arbitrarily long lists run in bounded memory
-    with _output(ns.output) as out, _open_input(ns.input) as f:
+    def certify_stream(out, records):
+        tasks = ((index, line, ns.budget_vertices, ns.budget_edges)
+                 for index, line in records)
+        counts = {"total": 0, "tight": 0, "loose": 0, "certified_core": 0, "errors": 0}
+        # stream: lines are consumed lazily and results come back in input
+        # order (imap), so arbitrarily long lists run in bounded memory
         if csv:
             out.write("# %s\n" % CSV_VERSION)
             out.write(",".join(CSV_COLUMNS) + "\n")
         if ns.jobs > 1:
             pool = Pool(ns.jobs)
-            results = pool.imap(_certify_line, tasks(f), chunksize=1)
+            results = pool.imap(_certify_line, tasks, chunksize=1)
         else:
             pool = None
-            results = map(_certify_line, tasks(f))
+            results = map(_certify_line, tasks)
         try:
             for _, rep, err in results:
                 counts["total"] += 1
@@ -165,17 +170,20 @@ def cmd_certify(ns):
             out.write("# summary %s\n" % json.dumps(counts, sort_keys=True))
         else:
             _emit_jsonl(out, {"summary": counts})
-    return min(counts["errors"], 100)
+        return min(counts["errors"], 100)
+
+    return _read_stream(ns, certify_stream)
 
 
-# family -> generator of (params, vertex budget, edge budget)
+# family -> (parameter names, generator of (*params, vertex_budget=,
+# edge_budget=)); a last name ending in "..." takes one or more integers
 GENERATORS = {
-    "kneser": lambda p, vb, eb: families.kneser(p[0], p[1], vb, eb),
-    "q-kneser": lambda p, vb, eb: families.q_kneser(p[0], p[1], p[2], vb, eb),
-    "hamming-h": lambda p, vb, eb: families.hamming_h(p[0], p[1], vb, eb),
-    "hamming-h-prime": lambda p, vb, eb: families.hamming_h_prime(p[0], p[1], vb, eb),
-    "q-cube": lambda p, vb, eb: families.q_cube(p[0], p[1], vb, eb),
-    "cayley-z2": lambda p, vb, eb: families.cayley_z2(p[0], p[1:], vb, eb),
+    "kneser": ("n r", families.kneser),
+    "q-kneser": ("q n r", families.q_kneser),
+    "hamming-h": ("n k", families.hamming_h),
+    "hamming-h-prime": ("n k", families.hamming_h_prime),
+    "q-cube": ("m j", families.q_cube),
+    "cayley-z2": ("n weight...", lambda n, *w, **kw: families.cayley_z2(n, w, **kw)),
 }
 
 
@@ -183,27 +191,40 @@ def _emit_graph6(out, g):
     out.write(write_graph6(g).decode("ascii") + "\n")
 
 
+def _checked(ns, name, table):
+    """table[name]'s function; a wrong ns.params count is a usage error."""
+    signature, fn = table[name]
+    want, got, more = len(signature.split()), len(ns.params), signature.endswith("...")
+    if got < want or (got > want and not more):
+        ns.usage_error("%s takes %s%d integer parameters (%s), got %d" % (
+            name, "at least " if more else "", want, signature, got))
+    return fn
+
+
 def cmd_gen(ns):
+    generate = _checked(ns, ns.family, GENERATORS)
     return _emit_one(
         ns,
-        lambda: GENERATORS[ns.family](ns.params, ns.budget_vertices, ns.budget_edges),
+        lambda: generate(*ns.params, vertex_budget=ns.budget_vertices,
+                         edge_budget=ns.budget_edges),
         _emit_graph6,
     )
 
 
 def _map_stream(ns, emit):
     """Call emit(out, graph) per input line; failures become error records."""
-    errors = 0
-    with _output(ns.output) as out, _open_input(ns.input) as f:
-        for i, line in enumerate(s.strip() for s in f):
-            if not line:
-                continue
+
+    def map_records(out, records):
+        errors = 0
+        for index, line in records:
             try:
                 emit(out, _parse_within_budget(line, ns.budget_vertices, ns.budget_edges))
             except Exception as exc:  # one failing record must not end the stream
                 errors += 1
-                _emit_jsonl(out, _error_record(exc, i))
-    return min(errors, 100)
+                _emit_jsonl(out, _error_record(exc, index))
+        return min(errors, 100)
+
+    return _read_stream(ns, map_records)
 
 
 def cmd_augment(ns):
@@ -223,15 +244,15 @@ def _map_obj(vm):
     return {"source_n": vm.source_n, "target_n": vm.target_n, "image": list(vm.image)}
 
 
-# kind -> JSON object computed from the integer parameters
+# kind -> (parameter names, JSON object computed from the integer parameters)
 HOM_CHECKS = {
-    "kneser": lambda p: {"exists": kneser_hom_exists(p[0], p[1], p[2], p[3])},
-    "kneser-map": lambda p: _map_obj(kneser_hom_map(p[0], p[1], p[2])),
-    "hamming": lambda p: {"exists": hamming_hom_exists(p[0], p[1], p[2], p[3])},
-    "hamming-map": lambda p: _map_obj(hamming_hom_map(p[0], p[1], p[2])),
-    "q-kneser": lambda p: {"necessary_condition":
-                           q_kneser_necessary(p[0], p[1], p[2], p[3], p[4], p[5])},
-    "q-cube-class": lambda p: {"case": q_cube_core_classification(p[0], p[1])},
+    "kneser": ("n r n2 r2", lambda *p: {"exists": kneser_hom_exists(*p)}),
+    "kneser-map": ("n r m", lambda *p: _map_obj(kneser_hom_map(*p))),
+    "hamming": ("n k n2 k2", lambda *p: {"exists": hamming_hom_exists(*p)}),
+    "hamming-map": ("n k m", lambda *p: _map_obj(hamming_hom_map(*p))),
+    "q-kneser": ("q n r q2 n2 r2",
+                 lambda *p: {"necessary_condition": q_kneser_necessary(*p)}),
+    "q-cube-class": ("n k", lambda *p: {"case": q_cube_core_classification(*p)}),
 }
 
 
@@ -248,7 +269,8 @@ def _emit_one(ns, compute, emit=_emit_jsonl):
 
 
 def cmd_hom(ns):
-    return _emit_one(ns, lambda: HOM_CHECKS[ns.kind](ns.params))
+    check = _checked(ns, ns.kind, HOM_CHECKS)
+    return _emit_one(ns, lambda: check(*ns.params))
 
 
 def _read(path, first_line=False):
@@ -292,7 +314,7 @@ def build_parser():
     g = sub.add_parser("gen", help="emit one family member as graph6")
     g.add_argument("family", choices=list(GENERATORS))
     g.add_argument("params", type=int, nargs="+")
-    g.set_defaults(func=cmd_gen)
+    g.set_defaults(func=cmd_gen, usage_error=g.error)
 
     c = sub.add_parser("certify", help="certify a stream of graph6 lines")
     c.add_argument("input", nargs="?", default="-")
@@ -311,7 +333,7 @@ def build_parser():
     h = sub.add_parser("hom", help="family homomorphism checks and maps")
     h.add_argument("kind", choices=list(HOM_CHECKS))
     h.add_argument("params", type=int, nargs="+")
-    h.set_defaults(func=cmd_hom)
+    h.set_defaults(func=cmd_hom, usage_error=h.error)
 
     hv = sub.add_parser("hom-verify", help="verify a user-supplied vertex map")
     hv.add_argument("--source", required=True, help="graph6 file (first line)")

@@ -8,8 +8,7 @@ Conventions:
 No floating point is used anywhere in this module.
 """
 
-from ._kernels import bareiss_rank as _kernel_bareiss_rank
-from .errors import NotSquare
+from .errors import NotSquare, require
 
 # ---------------------------------------------------------------------------
 # polynomial basics
@@ -138,8 +137,35 @@ def eval_poly_at_matrix(p, a):
     return acc
 
 
-def bareiss_rank(m):
-    """Exact rank over the rationals of an integer matrix."""
-    if not m or not m[0]:
-        return 0
-    return _kernel_bareiss_rank(m)
+def psd_rank(mat):
+    """Exact rank of a symmetric positive semidefinite integer matrix.
+
+    Symmetric fraction-free (Bareiss) elimination on diagonal pivots: each
+    entry stays an exact minor and each update divides exactly by the
+    previous pivot. Schur complements of a PSD matrix are PSD, and a zero
+    diagonal entry has a zero row, so such rows are dropped and a pivot is
+    always on the diagonal. Only the upper wedge is updated. A negative
+    diagonal entry (the input was not PSD) raises InvariantViolation.
+    """
+    m = [[int(x) for x in row] for row in mat]  # a copy; never a fixed width
+    act = list(range(len(m)))
+    prev = 1
+    for rank in range(len(m) + 1):  # each pass takes one pivot
+        act = [i for i in act if m[i][i]]
+        require(all(m[i][i] > 0 for i in act), "matrix is not positive semidefinite")
+        if not act:
+            return rank
+        piv = min(act, key=lambda i: m[i][i])  # the first least diagonal entry
+        act.remove(piv)
+        p = m[piv][piv]
+        # pivot row/col values for the active set, read in (min, max) order
+        pvals = {r: m[piv][r] if r > piv else m[r][piv] for r in act}
+        for ri, r in enumerate(act):
+            row, a = m[r], pvals[r]
+            if a:
+                for c in act[ri:]:
+                    row[c] = (p * row[c] - a * pvals[c]) // prev
+            elif p != prev:
+                for c in act[ri:]:
+                    row[c] = p * row[c] // prev
+        prev = p

@@ -72,6 +72,15 @@ def latin_square_graph(square):
     return from_edges(m * m, edges)
 
 
+def random_gram(rng, n, r):
+    """X X^T for a random n x r integer X: PSD of rank at most r."""
+    x = [[rng.randint(-4, 4) for _ in range(r)] for _ in range(n)]
+    return [
+        [sum(x[i][t] * x[j][t] for t in range(r)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
 @pytest.fixture(scope="session")
 def one_walk_regular_corpus():
     """Named 1-walk-regular graphs with integral spectra (>= 15 of them)."""

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 from math import comb
 
-from conftest import latin_square_graph, petersen, rook_graph
+from conftest import latin_square_graph, petersen, random_gram, rook_graph
 
 from uvcore import (
     augmented_graph,
@@ -35,7 +35,7 @@ from uvcore import (
 )
 from uvcore.certify import LOOSE, TIGHT
 from uvcore.cli import main as cli_main
-from uvcore.exact import bareiss_rank, mat_mul
+from uvcore.exact import mat_mul, psd_rank
 
 from oracles import charpoly_cofactor, rank_rational
 
@@ -197,15 +197,19 @@ def test_criterion_9_oracle_equivalence():
         a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         if charpoly(a) == charpoly_cofactor(a):
             char_ok += 1
-    rank_ok = 0
+    rank_ok = deficient = 0
     for _ in range(200):
+        # Grams X X^T with r < n columns are rank-deficient
         n = rng.randint(1, 15)
-        m = rng.randint(1, 15)
-        a = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
-        if bareiss_rank(a) == rank_rational(a):
+        r = rng.randint(0, n)
+        k = random_gram(rng, n, r)
+        rank = rank_rational(k)
+        deficient += rank < n
+        if psd_rank(k) == rank:
             rank_ok += 1
-    ok = char_ok == 200 and rank_ok == 200
-    announce(9, ok, "charpoly %d/200, rank %d/200 oracle agreement" % (char_ok, rank_ok))
+    ok = char_ok == 200 and rank_ok == 200 and deficient > 100
+    announce(9, ok, "charpoly %d/200, PSD rank %d/200 oracle agreement "
+             "(%d rank-deficient)" % (char_ok, rank_ok, deficient))
 
 
 def _random_latin_square(rng, m):

@@ -46,6 +46,25 @@ def test_gen_budget_error():
         main(["gen", "bogus", "1"])
 
 
+@pytest.mark.parametrize("args, expected", [
+    (["gen", "kneser", "5"], "kneser takes 2 integer parameters (n r), got 1"),
+    (["gen", "kneser", "5", "2", "9", "9"],
+     "kneser takes 2 integer parameters (n r), got 4"),
+    (["gen", "cayley-z2", "3"],
+     "cayley-z2 takes at least 2 integer parameters (n weight...), got 1"),
+    (["hom", "kneser", "5"], "kneser takes 4 integer parameters (n r n2 r2), got 1"),
+    (["hom", "q-cube-class", "6", "4", "1"],
+     "q-cube-class takes 2 integer parameters (n k), got 3"),
+], ids=["gen-too-few", "gen-too-many", "gen-cayley-no-weight", "hom-too-few",
+        "hom-too-many"])
+def test_wrong_parameter_count_is_a_usage_error(args, expected, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and expected in captured.err
+
+
 @pytest.mark.parametrize("args, code", [
     (["--budget-vertices", "5", "gen", "kneser", "7", "3"], "SizeBudgetExceeded"),
     (["gen", "cayley-z2", "4", "1", "3", "5"], "OutOfRange"),
@@ -328,3 +347,21 @@ def test_certify_same_output_under_python_O():
         outs.append(_rows_without_ms(proc.stdout))
     assert outs[0] == outs[1]
     assert len(outs[0]) == 3 and "error" not in outs[0][1]
+
+
+@pytest.mark.parametrize("command", ["certify", "augment", "spectra"])
+def test_unreadable_input_is_a_record(command, tmp_path):
+    out_path = tmp_path / "out.jsonl"
+    code = main(["--output", str(out_path), command, str(tmp_path / "absent.g6")])
+    lines = [json.loads(s) for s in out_path.read_text().splitlines()]
+    assert code == 1
+    assert [rec["error"] for rec in lines] == ["InputUnreadable"]
+
+
+@pytest.mark.parametrize("command", ["certify", "augment", "spectra"])
+def test_blank_lines_take_no_index(command, monkeypatch):
+    # the bad line is the second non-empty one in every subcommand
+    code, out = run_cli([command, "-"], stdin_text="Dhc\n\nxx\n",
+                        monkeypatch=monkeypatch)
+    errors = [rec for rec in map(json.loads, out.splitlines()) if "error" in rec]
+    assert errors[-1]["error"] == "MalformedGraph6" and errors[-1]["index"] == 1

@@ -4,19 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete, petersen
+from conftest import complete, petersen, random_gram
 from oracles import charpoly_cofactor, integer_root_multiplicities, rank_rational
 
 from uvcore import (
-    bareiss_rank,
     charpoly,
     divide_out_root,
     eval_poly_at_int,
     eval_poly_at_matrix,
 )
 from uvcore.certify import _integer_eigenvalues
-from uvcore.errors import NotSquare
-from uvcore.exact import mat_mul, poly_mul, poly_trim
+from uvcore.errors import InvariantViolation, NotSquare
+from uvcore.exact import mat_mul, poly_mul, poly_trim, psd_rank
 
 
 def adjacency(g):
@@ -148,26 +147,31 @@ def test_eval_poly_at_int_examples():
 # rank
 
 
-def test_bareiss_rank_examples():
-    assert bareiss_rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
-    assert bareiss_rank([[1] * 4 for _ in range(4)]) == 1
+def test_psd_rank_vs_oracle():
+    rng = random.Random(43)
+    for _ in range(80):
+        n = rng.randint(1, 14)
+        r = rng.randint(0, n)
+        k = random_gram(rng, n, r)
+        assert psd_rank(k) == rank_rational(k)
 
 
-def test_bareiss_rank_rectangular():
-    assert bareiss_rank([[1, 2, 3], [2, 4, 6]]) == 1
-    assert bareiss_rank([[1, 2], [3, 4], [5, 6]]) == 2
+def test_psd_rank_rejects_indefinite():
+    with pytest.raises(InvariantViolation):
+        psd_rank([[-1]])
+    with pytest.raises(InvariantViolation):
+        psd_rank([[1, 2], [2, 1]])
 
 
-def test_bareiss_vs_rational_oracle_randomized():
-    rng = random.Random(5150)
-    for _ in range(200):
-        n = rng.randint(1, 15)
-        mcols = rng.randint(1, 15)
-        a = [[rng.randint(-9, 9) for _ in range(mcols)] for _ in range(n)]
-        # bias toward singular matrices: duplicate a row sometimes
-        if n >= 2 and rng.random() < 0.5:
-            a[rng.randrange(n)] = list(a[rng.randrange(n)])
-        assert bareiss_rank(a) == rank_rational(a)
+def test_psd_rank_big_entries():
+    big = 10**40
+    # rank 2: det = big^2 - (big-1)^2 != 0
+    assert psd_rank([[big, big - 1], [big - 1, big]]) == 2
+
+
+def test_psd_rank_zero_and_tiny():
+    assert psd_rank([[0]]) == 0
+    assert psd_rank([[5]]) == 1
 
 
 def test_mat_mul_small():
