@@ -31,6 +31,7 @@ from math import gcd
 import numpy as np
 
 from ._spectrum import (
+    _INT64_SAFE,
     PowerSequence,
     eigenvalue_multiplicity,
     exact_matmul,
@@ -57,8 +58,6 @@ from .graphs import (
     srg_params,
 )
 from .walkreg import WalkRegularity, walk_regularity
-
-_INT64_SAFE = 1 << 62
 
 TIGHT = "tight"
 LOOSE = "loose"

@@ -3,12 +3,21 @@
 Conventions:
   * polynomials are lists of Python ints, ascending degree, no trailing
     zeros (the zero polynomial is []);
-  * matrices are lists of rows of Python ints.
+  * matrices are lists of rows of Python ints, except for elimination mod
+    a prime, which works on numpy int64 arrays of residues.
+
+The multimodular helpers (a deterministic prime test, the fixed
+descending prime sequences it yields, the Chinese remainder theorem and
+Gauss-Jordan elimination mod p) follow von zur Gathen and Gerhard,
+*Modern Computer Algebra*, ch. 5: residues mod enough primes, joined
+under a proven bound, then checked exactly over the integers.
 
 No floating point is used anywhere in this module.
 """
 
-from .errors import NotSquare, require
+import numpy as np
+
+from .errors import NotSquare, OutOfRange, require
 
 # ---------------------------------------------------------------------------
 # polynomial basics
@@ -169,3 +178,87 @@ def psd_rank(mat):
                 for c in act[ri:]:
                     row[c] = p * row[c] // prev
         prev = p
+
+
+# ---------------------------------------------------------------------------
+# primes, residues and elimination mod p
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least strong pseudoprime to all twelve bases (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017)
+_MR_EXACT_BELOW = 318665857834031151167461
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin test on the prime bases 2..37.
+
+    No composite below 318665857834031151167461 (about 3.2 * 10^23) is a
+    strong probable prime to all twelve bases, so the answer is exact
+    there; a larger n raises OutOfRange.
+    """
+    if n >= _MR_EXACT_BELOW:
+        raise OutOfRange("the prime test is exact only below %d" % _MR_EXACT_BELOW)
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def primes_below(bound):
+    """The primes below bound, in descending order (a fixed sequence)."""
+    return (p for p in range(bound - 1, 1, -1) if is_prime(p))
+
+
+def crt(residues, moduli):
+    """The x in [0, M), M the product of the pairwise coprime moduli, with
+    x = r (mod q) for every residue r and its modulus q."""
+    x, mod = 0, 1
+    for r, q in zip(residues, moduli):
+        x += mod * ((r - x) * pow(mod, -1, q) % q)
+        mod *= q
+    return x
+
+
+def rref_mod(a, p):
+    """Reduced row echelon form of an integer matrix mod a prime p < 2^31.
+
+    Returns (r, pivots): r is an int64 array with entries in [0, p) and
+    pivots holds the pivot column of each nonzero row, so len(pivots) is
+    the rank mod p. Every product of two residues is below 2^62, so the
+    row operations are exact in int64.
+    """
+    require(p < 1 << 31, "elimination mod p needs p < 2^31")
+    r = np.array(a, dtype=np.int64) % p
+    pivots = []
+    for col in range(r.shape[1]):
+        row = len(pivots)
+        if row == r.shape[0]:
+            break
+        nonzero = np.flatnonzero(r[row:, col])
+        if not nonzero.size:
+            continue
+        if nonzero[0]:
+            r[[row, row + nonzero[0]]] = r[[row + nonzero[0], row]]
+        r[row] = r[row] * pow(int(r[row, col]), -1, p) % p
+        factors = r[:, col].copy()
+        factors[row] = 0
+        r -= np.outer(factors, r[row])
+        r %= p
+        pivots.append(col)
+    return r, pivots

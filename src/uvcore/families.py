@@ -10,6 +10,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import BadParity, OutOfRange, SizeBudgetExceeded, require
+from .exact import is_prime
 from .graphs import Graph
 
 DEFAULT_VERTEX_BUDGET = 20000
@@ -85,17 +86,6 @@ def kneser_vertex_index(n, r):
     return {m: i for i, m in enumerate(_kneser_masks(n, r))}
 
 
-def _is_prime(q):
-    if q < 2:
-        return False
-    f = 2
-    while f * f <= q:
-        if q % f == 0:
-            return False
-        f += 1
-    return True
-
-
 def _rref_subspaces(n, r, q):
     """All r-dimensional subspaces of F_q^n as canonical RREF basis matrices.
 
@@ -155,7 +145,7 @@ def q_kneser(q, n, r, vertex_budget=DEFAULT_VERTEX_BUDGET, edge_budget=DEFAULT_E
     q must be prime (prime powers are out of scope). Vertices are ordered
     lexicographically by their reduced-row-echelon-form basis matrix.
     """
-    if not _is_prime(q):
+    if not is_prime(q):
         raise OutOfRange("q must be prime (prime powers are not supported)")
     if not n >= r >= 1:
         raise OutOfRange("need n >= r >= 1")

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from uvcore import complement, from_edges, kneser
+from uvcore import complement, from_edges, is_connected, kneser
 
 
 def cycle(n):
@@ -70,6 +70,27 @@ def latin_square_graph(square):
             if r1 == r2 or c1 == c2 or square[r1][c1] == square[r2][c2]:
                 edges.append((v, w))
     return from_edges(m * m, edges)
+
+
+def random_regular(rng, n, k):
+    """Connected simple k-regular graph by random pairing with restarts."""
+    while True:
+        points = [v for v in range(n) for _ in range(k)]
+        edges = set()
+        while points:
+            for _attempt in range(100):
+                i, j = rng.sample(range(len(points)), 2)
+                edge = tuple(sorted((points[i], points[j])))
+                if edge[0] != edge[1] and edge not in edges:
+                    break
+            else:
+                break
+            edges.add(edge)
+            for x in sorted((i, j), reverse=True):
+                points.pop(x)
+        g = from_edges(n, sorted(edges))
+        if not points and is_connected(g):
+            return g
 
 
 def random_gram(rng, n, r):

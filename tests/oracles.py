@@ -2,10 +2,13 @@
 
 These deliberately use different algorithms from the package: cofactor
 expansion instead of Berkowitz, rational Gaussian elimination instead of
-fraction-free elimination.
+fraction-free elimination, Frobenius pairings over Python ints instead of
+residues.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 from uvcore.exact import divide_out_root
 
@@ -113,3 +116,21 @@ def integer_root_multiplicities(p, bound):
             p = q
             q, rem = divide_out_root(p, t)
     return roots
+
+
+def power_traces(a, top):
+    """[tr(A^0), .., tr(A^top)] for a symmetric 0/1 int64 matrix A.
+
+    tr(A^s) is the Frobenius pairing <A^h, A^(s-h)>, h = ceil(s/2), summed
+    over Python ints (object dtype). The powers are int64 products while
+    the walk-count bound k^h stays below 2^62 and object products after.
+    """
+    k = int(a.sum(axis=1).max(initial=0))
+    powers = [np.eye(len(a), dtype=np.int64)]
+    for h in range(1, (top + 1) // 2 + 1):
+        if k**h < 1 << 62:
+            powers.append(powers[-1] @ a)
+        else:
+            powers.append(np.dot(powers[-1].astype(object), a.astype(object)))
+    return [int(np.sum(powers[(s + 1) // 2].astype(object) * powers[s // 2].astype(object)))
+            for s in range(top + 1)]

@@ -246,28 +246,34 @@ def test_criterion_10_batch_throughput(tmp_path):
     src = tmp_path / "srg36.g6"
     src.write_text("\n".join(lines) + "\n")
 
-    def run(tag):
+    def run(path, tag):
         out = tmp_path / ("out_%s.jsonl" % tag)
         t0 = time.perf_counter()
-        code = cli_main(["--output", str(out), "certify", str(src)])
+        code = cli_main(["--output", str(out), "certify", str(path)])
         elapsed = time.perf_counter() - t0
         rows = [json.loads(s) for s in out.read_text().splitlines()]
-        summary = rows[-1]["summary"]
-        return code, elapsed, summary
+        for row in rows:
+            row.pop("ms", None)
+        return code, elapsed, rows
 
-    code1, t1, s1 = run("a")
-    code2, t2, s2 = run("b")
+    # one timed run of the batch; determinism is checked per record by
+    # certifying the first five graphs again
+    code1, t1, rows1 = run(src, "batch")
+    head = tmp_path / "srg36_head.g6"
+    head.write_text("\n".join(lines[:5]) + "\n")
+    code2, _, rows2 = run(head, "head")
+    s1 = rows1[-1]["summary"]
     ok = (
         code1 == 0
         and code2 == 0
         and s1["total"] == 50
         and s1["errors"] == 0
         and s1["tight"] + s1["loose"] == 50
-        and s1 == s2
+        and rows2[:5] == rows1[:5]
         and t1 < 600.0
     )
     announce(
         10, ok,
-        "50 graphs of SRG(36,15,6,6) size: %s in %.1fs (< 600s), re-run identical"
-        % (s1, t1),
+        "50 graphs of SRG(36,15,6,6) size: %s in %.1fs (< 600s), first 5 records "
+        "identical on a re-run" % (s1, t1),
     )

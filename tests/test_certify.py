@@ -11,6 +11,7 @@ from conftest import (
     cycle,
     from_edges,
     petersen,
+    random_regular,
     rook_graph,
 )
 from oracles import rank_rational
@@ -24,7 +25,6 @@ from uvcore import (
     edge_gram_matrix,
     hamming_h,
     hamming_h_prime,
-    is_connected,
     is_locally_injective_gram,
     is_spanning_subgraph,
     kneser,
@@ -148,27 +148,6 @@ def test_roots_above_is_exact_on_real_rooted(int_roots, radicands, t, lead):
     assert _roots_above(q, t) == above
 
 
-def _random_regular(rng, n, k):
-    """Connected simple k-regular graph by random pairing with restarts."""
-    while True:
-        points = [v for v in range(n) for _ in range(k)]
-        edges = set()
-        while points:
-            for _attempt in range(100):
-                i, j = rng.sample(range(len(points)), 2)
-                edge = tuple(sorted((points[i], points[j])))
-                if edge[0] != edge[1] and edge not in edges:
-                    break
-            else:
-                break
-            edges.add(edge)
-            for x in sorted((i, j), reverse=True):
-                points.pop(x)
-        g = from_edges(n, sorted(edges))
-        if not points and is_connected(g):
-            return g
-
-
 def test_least_eigenvalue_verdict_matches_float_oracle():
     # NonIntegerLeastEigenvalue exactly when the floating-point spectrum
     # says the least eigenvalue is not an integer (floats only as oracle)
@@ -177,7 +156,7 @@ def test_least_eigenvalue_verdict_matches_float_oracle():
     import numpy as np
 
     rng = random.Random(5)
-    graphs = [_random_regular(rng, n, k) for n in range(8, 31) for k in (3, 4, 5, 6)
+    graphs = [random_regular(rng, n, k) for n in range(8, 31) for k in (3, 4, 5, 6)
               if n * k % 2 == 0]
     # circulants give integer least eigenvalues with irrational ones above
     graphs += [from_edges(n, [(i, (i + s) % n) for i in range(n) for s in (1, step)])

@@ -330,6 +330,7 @@ def test_hom_verify_malformed_map_is_a_record(tmp_path, image):
 def test_certify_same_output_under_python_O():
     # no verdict may rest on an `assert`: with assertions stripped, the
     # reports stay the same once timings are removed
+    import os
     import subprocess
     import sys
     from pathlib import Path
@@ -338,7 +339,8 @@ def test_certify_same_output_under_python_O():
 
     text = "".join(write_graph6(g).decode() + "\n"
                    for g in (kneser(5, 2), moebius_ladder_complement()))
-    env = {"PYTHONPATH": str(Path(uvcore.__file__).parents[1])}
+    # the caller's environment, so that PYTHONDONTWRITEBYTECODE is kept
+    env = dict(os.environ, PYTHONPATH=str(Path(uvcore.__file__).parents[1]))
     outs = []
     for flags in ([], ["-O"]):
         proc = subprocess.run([sys.executable, *flags, "-m", "uvcore.cli", "certify", "-"],

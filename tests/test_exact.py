@@ -1,5 +1,8 @@
 import random
+from itertools import islice
+from math import isqrt, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +17,17 @@ from uvcore import (
     eval_poly_at_matrix,
 )
 from uvcore.certify import _integer_eigenvalues
-from uvcore.errors import InvariantViolation, NotSquare
-from uvcore.exact import mat_mul, poly_mul, poly_trim, psd_rank
+from uvcore.errors import InvariantViolation, NotSquare, OutOfRange
+from uvcore.exact import (
+    crt,
+    is_prime,
+    mat_mul,
+    poly_mul,
+    poly_trim,
+    primes_below,
+    psd_rank,
+    rref_mod,
+)
 
 
 def adjacency(g):
@@ -177,3 +189,69 @@ def test_psd_rank_zero_and_tiny():
 def test_mat_mul_small():
     a = [[1, 2], [3, 4]]
     assert mat_mul(a, a) == [[7, 10], [15, 22]]
+
+
+# ---------------------------------------------------------------------------
+# primes, CRT and elimination mod p
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if _trial_division(n)]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base
+    # up to 31; the twelve bases 2..37 are exact only below the least
+    # strong pseudoprime to all of them, and larger n are refused
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2**31 - 1) and is_prime(2**61 - 1)
+    with pytest.raises(OutOfRange):
+        is_prime(318665857834031151167461)
+
+
+def test_primes_below_descend():
+    assert list(primes_below(100)) == [n for n in range(99, 1, -1) if _trial_division(n)]
+    assert next(primes_below(1 << 31)) == 2**31 - 1
+    assert list(islice(primes_below(1 << 31), 2))[1] == max(
+        n for n in range(2**31 - 100, 2**31 - 1) if _trial_division(n))
+
+
+def test_crt_joins_residues():
+    rng = random.Random(7)
+    moduli = [2**31 - 1, 2147483629, 101]
+    for _ in range(50):
+        x = rng.randrange(prod(moduli))
+        assert crt([x % q for q in moduli], moduli) == x
+
+
+def test_rref_mod_rank_and_row_space():
+    # random products of an a x r and an r x b matrix have rank at most r;
+    # the echelon form has unit pivot columns and spans the same rows mod p
+    rng = random.Random(11)
+    p = 2**31 - 1
+    for _ in range(60):
+        a, b, r = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 5)
+        left = [[rng.randint(-9, 9) for _ in range(r)] for _ in range(a)]
+        right = [[rng.randint(-9, 9) for _ in range(b)] for _ in range(r)]
+        mat = [[sum(left[i][t] * right[t][j] for t in range(r)) for j in range(b)]
+               for i in range(a)]
+        red, pivots = rref_mod(mat, p)
+        assert len(pivots) == rank_rational(mat)
+        assert not red[len(pivots):].any()
+        assert red[:, pivots].tolist() == np.eye(a, dtype=np.int64)[:, :len(pivots)].tolist()
+        assert len(rref_mod(np.vstack([red, np.array(mat, dtype=np.int64)]), p)[1]) == len(pivots)
+
+
+def test_rref_mod_solves_and_detects_an_unlucky_prime():
+    # det diag(p, 1) = p, so the matrix is singular mod p and not mod the
+    # next prime, where the augmented column is the solution
+    p, q = 2**31 - 1, next(primes_below(2**31 - 1))
+    assert rref_mod([[p, 0, 3], [0, 1, 4]], p)[1] == [1, 2]
+    red, pivots = rref_mod([[p, 0, 3], [0, 1, 4]], q)
+    assert pivots == [0, 1] and red[:, 2].tolist() == [3 * pow(p, -1, q) % q, 4]

@@ -1,18 +1,23 @@
 """Cross-checks between the structured spectral fast paths and the
 general-purpose routes they shortcut."""
 
+import random
 from fractions import Fraction
+from itertools import count
 from math import gcd
 
+import numpy as np
 import pytest
 
-from conftest import cycle, moebius_ladder_complement, petersen, prism
-from oracles import integer_root_multiplicities, rank_rational
+from conftest import cycle, moebius_ladder_complement, petersen, prism, random_regular
+from oracles import integer_root_multiplicities, power_traces, rank_rational
 
-from uvcore import Graph, charpoly, eval_poly_at_matrix, q_kneser
+from uvcore import Graph, charpoly, eval_poly_at_matrix, hamming_h, q_kneser
+from uvcore import _spectrum
 from uvcore._spectrum import (
+    _INT64_SAFE,
     PowerSequence,
-    _FractionFree,
+    _propose,
     adjacency_array,
     eigenvalue_multiplicity,
     exact_matmul,
@@ -27,7 +32,14 @@ from uvcore.certify import (
     spectral_data,
 )
 from uvcore.errors import InvariantViolation
-from uvcore.exact import divide_out_root, eval_poly_at_int, mat_mul
+from uvcore.exact import (
+    divide_out_root,
+    eval_poly_at_int,
+    is_prime,
+    mat_mul,
+    poly_mul,
+    rref_mod,
+)
 
 
 def is_mixed(sd):
@@ -55,20 +67,93 @@ def test_minimal_polynomial_is_squarefree_charpoly(one_walk_regular_corpus):
         assert rank_rational(flat) == m, name
 
 
-def test_fraction_free_pivots_are_leading_minors():
-    # a non-symmetric matrix grown index by index: the pivots are its
-    # leading principal minors 2, 5, -1; after a singular border the
-    # leading block still solves, and a non-integral solution is refused
-    mat = [[2, 1, 1], [1, 3, 2], [1, 0, 0]]
-    ff = _FractionFree()
-    pivots = [ff.extend(mat[t][:t], [mat[i][t] for i in range(t + 1)])
-              for t in range(3)]
-    assert pivots == [2, 5, -1]
-    # row 3 = 2 * row 0 makes the bordered matrix singular
-    assert ff.extend([4, 2, 2], [4, 2, 2, 8]) == 0
-    assert ff.solve([3, 1, 1]) == [1, -2, 3]
+def test_residue_traces_match_object_pairing():
+    # past n k^s >= 2^62 the traces come from residues and CRT; the oracle
+    # pairs the powers over Python ints. Random regular graphs have m = n
+    # or close, so s runs to about 2n; H_{10,6} (n 512, k 210) to 12
+    rng = random.Random(36)
+    for n, k in ((36, 3), (42, 4), (48, 5)):
+        g = random_regular(rng, n, k)
+        ps = PowerSequence(g)
+        m = len(minimal_polynomial(g, powers=ps)) - 1
+        assert n * k ** (2 * m) >= _INT64_SAFE, (n, k)
+        assert [ps.trace(s) for s in range(2 * m + 1)] == power_traces(ps.a64, 2 * m), (n, k)
+    ps = PowerSequence(hamming_h(10, 6))
+    assert ps.trace(12) > _INT64_SAFE
+    assert ps.traces == power_traces(ps.a64, 12)
+
+
+def test_propose_stops_at_the_first_singular_hankel_minor():
+    # Berlekamp-Massey's first zero discrepancy at an even step marks the
+    # first leading Hankel minor that vanishes mod q, on any sequence
+    class Sequence:
+        n = 12
+
+        def __init__(self, seq):
+            self.seq = seq
+
+        def trace(self, j):
+            return self.seq[j]
+
+    rng = random.Random(17)
+    for q in (2, 3, 5, 7):
+        for _ in range(100):
+            seq = [rng.randrange(-40, 40) for _ in range(2 * Sequence.n + 1)]
+            want = next((t for t in range(Sequence.n + 1) if len(rref_mod(
+                [[seq[a + b] for b in range(t + 1)] for a in range(t + 1)], q)[1]) <= t), None)
+            if want is None:
+                with pytest.raises(InvariantViolation):
+                    _propose(Sequence(seq), q)
+            else:
+                assert _propose(Sequence(seq), q) == want, (q, seq)
+
+
+def _primes_from(start):
+    return (p for p in count(start) if is_prime(p))
+
+
+def test_minimal_polynomial_survives_unlucky_primes(monkeypatch):
+    # Petersen's Hankel minors are 10, 300 and 18000: 5 divides all three,
+    # so 5 proposes m = 0, fails the exact check and 7 takes over. With 5
+    # second it is a lifting prime on which H_3 is singular, and is skipped
+    g = petersen()
+    want = poly_mul(poly_mul([-3, 1], [-1, 1]), [2, 1])
+    for source in ([5, 7, 11, 13], [7, 5, 11, 13]):
+        drawn = []
+
+        def primes(source=source):
+            for p in source:
+                drawn.append(p)
+                yield p
+
+        monkeypatch.setattr(_spectrum, "_hankel_primes", primes)
+        assert minimal_polynomial(g) == want
+        assert drawn == source
+    # with no unlucky prime allowed, the first one is fatal
+    monkeypatch.setattr(_spectrum, "_hankel_primes", lambda: _primes_from(5))
+    monkeypatch.setattr(_spectrum, "_HANKEL_RETRIES", 0)
     with pytest.raises(InvariantViolation):
-        ff.solve([1, 0])
+        minimal_polynomial(g)
+
+
+def test_minimal_polynomial_builds_no_object_array(monkeypatch):
+    # n = 48, k = 5: m = 48, so the traces run to 2m = 96 and n k^96 is far
+    # past 2^62; every product stays int64 and no trace past 2m + 2 is taken
+    products = []
+
+    def recording(a, b, bound):
+        out = exact_matmul(a, b, bound)
+        products.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(_spectrum, "exact_matmul", recording)
+    g = random_regular(random.Random(48), 48, 5)
+    ps = PowerSequence(g)
+    m = len(minimal_polynomial(g, powers=ps)) - 1
+    assert m >= 40 and len(ps.traces) <= 2 * m + 3
+    assert products and set(products) == {np.dtype(np.int64)}
+    assert all(p.dtype == np.int64 for p in ps.powers)
+    assert all(x.dtype == np.int64 for _, prev, cur in ps._chains.values() for x in (prev, cur))
 
 
 def test_eigenvalue_multiplicity_matches_charpoly_roots(one_walk_regular_corpus):
